@@ -17,7 +17,9 @@ can never drift.
 The kernel records carry the per-kernel reference/vectorized timings (ms),
 the speedups, and the ``map_network`` throughput numbers.  The sweep records
 carry the reference / serial-engine / parallel-engine wall-clock of a
-multi-point λ sweep plus the batched-evaluation timings.  The lockstep
+multi-point λ sweep plus the batched-evaluation timings, and the figure7
+point-phase time serial vs ``workers=2`` with the cores, BLAS threads and
+start method it ran under.  The lockstep
 records carry the serial-per-point vs lockstep-stacked training wall-clock of
 the λ sweep's point phase and the end-to-end sweep.
 """
@@ -85,11 +87,15 @@ def run_kernels(output: Path, check: bool) -> int:
 
 
 def run_sweeps(output: Path, check: bool) -> int:
-    from test_bench_sweeps import collect_sweep_stats
+    import multiprocessing
+
+    from test_bench_sweeps import collect_policy_stats, collect_sweep_stats
 
     record = _base_record()
-    record.update({k: round(v, 4) if isinstance(v, float) else v
-                   for k, v in collect_sweep_stats().items()})
+    record["start_method"] = multiprocessing.get_start_method()
+    for stats in (collect_sweep_stats(), collect_policy_stats()):
+        record.update({k: round(v, 4) if isinstance(v, float) else v
+                       for k, v in stats.items()})
     _append(output, record)
 
     print(f"sweep benchmark ({record['timestamp']}) -> {output}")
@@ -102,9 +108,19 @@ def run_sweeps(output: Path, check: bool) -> int:
     print(f"  batched evaluation     {record['eval_batched_ms']:.1f} ms vs "
           f"{record['eval_individual_ms']:.1f} ms "
           f"({record['eval_batched_speedup']:.2f}x)")
+    print(f"  figure7 points serial  {record['figure7_serial_points_s']:.2f} s "
+          f"vs 2 workers {record['figure7_parallel_points_s']:.2f} s "
+          f"({record['figure7_parallel_speedup']:.2f}x; {record['cores']} cores, "
+          f"{record['blas_threads']} BLAS threads, {record['start_method']})")
 
     if check and record["parallel_speedup"] < 2.0:
         print("FAIL: parallel sweep speedup fell below 2x", file=sys.stderr)
+        return 1
+    # Two workers on two or more cores must beat serial outright; the
+    # reference-engine ratio above cannot catch a pool slower than serial.
+    if check and record["cores"] >= 2 and record["figure7_parallel_speedup"] < 1.15:
+        print("FAIL: figure7 workers=2 is less than 1.15x faster than serial",
+              file=sys.stderr)
         return 1
     return 0
 

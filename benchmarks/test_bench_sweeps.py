@@ -22,17 +22,28 @@ The benchmark runs the fast in-repo MLP workload at the ``tiny`` scale so
 the reference configuration stays affordable inside CI; the speedup sources
 (regularizer vectorization, record-step memoization, evaluation batching)
 are scale-independent.
+
+:func:`collect_policy_stats` separately times the ``figure7`` preset (ConvNet
+ε sweep, SMALL scale) serial vs ``workers=2`` — the point phase, where the
+pool runs — so a parallel engine slower than the serial one shows up in the
+``BENCH_sweeps.json`` trajectory.  It takes about a minute and runs from
+``benchmarks/run_benchmarks.py --suite sweeps`` only, not under pytest.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
 
 from bench_utils import run_once
 from repro.experiments import (
+    REGISTRY,
+    ExperimentContext,
     SweepEngine,
+    convnet_workload,
+    execute_spec,
     lenet_workload,
     mlp_workload,
     sweep_group_deletion,
@@ -40,6 +51,7 @@ from repro.experiments import (
 )
 from repro.nn.batched import batched_evaluate
 from repro.nn.metrics import accuracy
+from repro.utils import blas
 
 STRENGTHS = [0.005, 0.01, 0.02, 0.04, 0.06, 0.08]
 EVAL_NETWORKS = 4
@@ -100,6 +112,41 @@ def collect_sweep_stats():
         "eval_individual_ms": 1e3 * t_individual,
         "eval_batched_ms": 1e3 * t_batched,
         "eval_batched_speedup": t_individual / t_batched,
+    }
+
+
+def collect_policy_stats(repeats: int = 3):
+    """figure7 (SMALL) point-phase time, serial vs ``workers=2``, median of ``repeats``.
+
+    Both policies reuse one trained baseline and alternate run by run, so
+    machine drift hits them alike.  The parallel points must equal the
+    serial ones bit for bit.
+    """
+    workload = convnet_workload("small")
+    network, baseline_accuracy, setup = train_baseline(workload)
+    context = ExperimentContext(
+        workload=workload,
+        setup=setup,
+        baseline_network=network,
+        baseline_accuracy=baseline_accuracy,
+    )
+    points_s = {1: [], 2: []}
+    payloads = {}
+    for _ in range(repeats):
+        for workers in points_s:
+            spec = REGISTRY.get("figure7", scale="small", workers=workers)
+            run = execute_spec(spec, context=context)
+            points_s[workers].append(run.timings["points_s"])
+            payloads[workers] = run.result.to_payload()
+    assert payloads[1] == payloads[2]
+    serial, parallel = (statistics.median(points_s[w]) for w in (1, 2))
+    return {
+        "cores": blas.cpu_count(),
+        "blas_threads": blas.blas_threads(),
+        "figure7_points": len(spec.grid),
+        "figure7_serial_points_s": serial,
+        "figure7_parallel_points_s": parallel,
+        "figure7_parallel_speedup": serial / parallel,
     }
 
 

@@ -20,7 +20,8 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # test_sweep_engine.py runs the serial-vs-parallel parity tests with a
-# 2-worker process pool, so every CI invocation exercises the fan-out path.
+# 2-worker process pool, and test_blas_pin.py checks that pool's per-worker
+# BLAS thread cap, so every CI invocation exercises the fan-out path.
 ENGINE_TESTS=(
   tests/test_kernel_parity.py
   tests/test_cache_release.py
@@ -29,6 +30,7 @@ ENGINE_TESTS=(
   tests/test_routing_cache.py
   tests/test_sweep_regression.py
   tests/test_sweep_engine.py
+  tests/test_blas_pin.py
   tests/test_lockstep.py
   tests/test_optim.py
   tests/test_spec.py

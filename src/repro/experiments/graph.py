@@ -452,7 +452,7 @@ class GraphExecution:
             self.store.clear_journal(plan.fingerprint)
 
         if spec.kind == "sweep":
-            self.monitor = RunMonitor(strict=self.strict)
+            self.monitor = RunMonitor(strict=self.strict, obs=self.obs)
             if self.install_signals:
                 self.monitor.install_sigint()
             self._pending = [

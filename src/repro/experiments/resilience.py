@@ -47,7 +47,8 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, PointFailureError, PointTimeoutError
-from repro.utils import faultinject
+from repro.obs import NULL_OBS, Observability
+from repro.utils import blas, faultinject
 from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.resilience")
@@ -204,16 +205,19 @@ class RunMonitor:
     One monitor spans every supervised stage of a run (sweep points,
     hardware evals).  ``on_success`` is the mid-run persistence hook: the
     planner sets it to a journaling finalizer so completed points hit disk
-    as they finish, not only at the end.
+    as they finish, not only at the end.  ``obs`` receives the run's pool
+    counters (``runner.blas_pin_unavailable``).
     """
 
     def __init__(
         self,
         strict: bool = False,
         on_success: Optional[Callable[[int, Any], None]] = None,
+        obs: Optional[Observability] = None,
     ):
         self.strict = strict
         self.on_success = on_success
+        self.obs = obs if obs is not None else NULL_OBS
         self.failures: Dict[int, PointFailure] = {}
         self.interrupted = False
         self._previous_sigint: Optional[Any] = None
@@ -416,14 +420,46 @@ def _serial_map(
     return results
 
 
-def _make_pool(engine: Any, size: int) -> ProcessPoolExecutor:
+def _pin_worker_blas(threads: int) -> None:
+    """Pool initializer: cap this worker's BLAS threads (module-level for spawn)."""
+    blas.set_blas_threads(threads)
+
+
+_blas_warned = False
+
+
+def _make_pool(
+    engine: Any, size: int, obs: Observability = NULL_OBS
+) -> ProcessPoolExecutor:
+    """The process pool every sweep fan-out runs on.
+
+    Each worker caps its BLAS threads at ``cores // workers`` so ``workers``
+    processes share the cores instead of each running the parent's full
+    BLAS pool.  Thread counts change speed only, never results.  Where the
+    BLAS library cannot be pinned, the pool runs unpinned: logged once per
+    process and counted as ``runner.blas_pin_unavailable``.
+    """
+    global _blas_warned
     method = engine.start_method
     if method is None:
         method = "fork" if "fork" in mp.get_all_start_methods() else None
     context = mp.get_context(method)
-    return ProcessPoolExecutor(
-        max_workers=min(engine.workers, max(size, 1)), mp_context=context
-    )
+    workers = min(engine.workers, max(size, 1))
+    pin: Dict[str, Any] = {}
+    if blas.resolve() is None:
+        obs.metrics.counter("runner.blas_pin_unavailable").inc()
+        if not _blas_warned:
+            _blas_warned = True
+            logger.warning(
+                "no OpenBLAS thread control found; pool workers keep the "
+                "default BLAS thread count and may oversubscribe the cores"
+            )
+    else:
+        pin = {
+            "initializer": _pin_worker_blas,
+            "initargs": (max(1, blas.cpu_count() // workers),),
+        }
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context, **pin)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -460,7 +496,7 @@ def _pool_map(
     isolating = False
     queued: List[int] = []
     solo_breakers: set = set()
-    pool = _make_pool(engine, len(tasks))
+    pool = _make_pool(engine, len(tasks), monitor.obs)
     futures: Dict[Any, int] = {}
     deadlines: Dict[Any, float] = {}
     broken_submits: List[int] = []
@@ -609,7 +645,7 @@ def _pool_map(
                     rebuilds,
                     len(remaining),
                 )
-                pool = _make_pool(engine, 1)
+                pool = _make_pool(engine, 1, monitor.obs)
                 for slot in remaining:
                     submit(slot)
                 continue
@@ -635,7 +671,7 @@ def _pool_map(
                     futures.clear()
                     deadlines.clear()
                     _kill_pool(pool)
-                    pool = _make_pool(engine, len(open_slots))
+                    pool = _make_pool(engine, len(open_slots), monitor.obs)
                     for slot in survivors:
                         submit(slot)
                     for slot in expired_slots:

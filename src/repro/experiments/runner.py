@@ -11,7 +11,10 @@ retrain from one shared baseline.  The points are mutually independent, so a
   the parallel path execute byte-for-byte identical code on identical
   payloads.  Every payload is a pure value (network copy, training setup,
   config): no shared mutable state crosses a task boundary, which is what
-  makes parallel results bit-identical to serial ones.
+  makes parallel results bit-identical to serial ones.  Each pool worker
+  runs with ``cores // workers`` BLAS threads so the workers share the cores
+  instead of oversubscribing them; the thread count changes speed, never
+  results.
 * **Deterministic per-point seeding** — by default every point trains on the
   same data stream as the shared baseline (the paper's "points differ only in
   the swept hyper-parameter" protocol).  ``per_point_seed=True`` instead
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
@@ -55,7 +57,7 @@ from repro.core.config import GroupDeletionConfig, RankClippingConfig
 from repro.core.group_deletion import GroupConnectionDeleter, run_lockstep_deletion
 from repro.core.rank_clipping import RankClipper
 from repro.exceptions import ConfigurationError, LayerError
-from repro.experiments.resilience import RetryPolicy
+from repro.experiments.resilience import RetryPolicy, _make_pool
 from repro.experiments.training import TrainingSetup
 from repro.hardware.routing import RoutingAnalysisCache
 from repro.nn.batched import architecture_signature, batched_evaluate
@@ -77,8 +79,9 @@ class SweepEngine:
     ----------
     workers:
         Number of worker processes for sweep points.  ``1`` (default) runs
-        the point tasks inline; ``>= 2`` fans them out over a process pool.
-        Results are bit-identical either way.
+        the point tasks inline; ``>= 2`` fans them out over a process pool
+        whose workers each run ``cores // workers`` BLAS threads (the
+        parent keeps its own).  Results are bit-identical either way.
     batched_eval:
         Evaluate the finished point networks together through
         :func:`repro.nn.batched.batched_evaluate` instead of one ``predict``
@@ -247,13 +250,7 @@ class SweepEngine:
         tasks = list(tasks)
         if len(tasks) <= 1:
             return [point_fn(task) for task in tasks]
-        method = self.start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        context = mp.get_context(method)
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(tasks)), mp_context=context
-        ) as pool:
+        with _make_pool(self, len(tasks)) as pool:
             return list(pool.map(point_fn, tasks))
 
     # -------------------------------------------------------- evaluation
