@@ -12,7 +12,7 @@ deletion phase remains close to the starting accuracy.
 import numpy as np
 
 from bench_utils import run_once
-from repro.experiments import run_figure5
+from repro.experiments import ExperimentContext, execute_spec, spec_for_workload
 
 STRENGTH = 0.04
 
@@ -21,13 +21,12 @@ def test_figure5_deletion_trace(benchmark, lenet_baseline):
     workload, network, accuracy, setup = lenet_baseline
     series = run_once(
         benchmark,
-        run_figure5,
-        workload,
-        strength=STRENGTH,
-        include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
-    )
+        execute_spec,
+        spec_for_workload(
+            "figure5", workload, strength=STRENGTH, include_small_matrices=True
+        ),
+        context=ExperimentContext(workload, setup, network),
+    ).result
     print()
     print(series.format_series())
 

@@ -11,7 +11,7 @@ the sweep stays small.
 """
 
 from bench_utils import run_once
-from repro.experiments import sweep_rank_clipping
+from repro.experiments import ExperimentContext, execute_spec, spec_for_workload
 
 TOLERANCES = [0.02, 0.08, 0.20]
 
@@ -32,13 +32,10 @@ def test_figure7a_lenet_area_vs_error(benchmark, lenet_baseline):
     workload, network, accuracy, setup = lenet_baseline
     sweep = run_once(
         benchmark,
-        sweep_rank_clipping,
-        workload,
-        TOLERANCES,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+        execute_spec,
+        spec_for_workload("sweep", workload, method="rank_clipping", grid=TOLERANCES),
+        context=ExperimentContext(workload, setup, network, accuracy),
+    ).result
     print()
     print(sweep.format_table())
     _check_shape(sweep)
@@ -48,13 +45,10 @@ def test_figure7b_convnet_area_vs_error(benchmark, convnet_baseline):
     workload, network, accuracy, setup = convnet_baseline
     sweep = run_once(
         benchmark,
-        sweep_rank_clipping,
-        workload,
-        TOLERANCES,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+        execute_spec,
+        spec_for_workload("sweep", workload, method="rank_clipping", grid=TOLERANCES),
+        context=ExperimentContext(workload, setup, network, accuracy),
+    ).result
     print()
     print(sweep.format_table())
     _check_shape(sweep)

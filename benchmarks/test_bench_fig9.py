@@ -13,20 +13,23 @@ with whole row/column groups, and the per-crossbar density grid reflects it.
 import numpy as np
 
 from bench_utils import run_once
-from repro.experiments import run_table3, sparsity_maps
+from repro.experiments import (
+    ExperimentContext,
+    execute_spec,
+    sparsity_maps,
+    spec_for_workload,
+)
 
 STRENGTH = 0.05
 
 
 def _run(workload, setup, network, accuracy):
-    result = run_table3(
-        workload,
-        strength=STRENGTH,
-        include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+    result = execute_spec(
+        spec_for_workload(
+            "table3", workload, strength=STRENGTH, include_small_matrices=True
+        ),
+        context=ExperimentContext(workload, setup, network, accuracy),
+    ).result
     maps = sparsity_maps(result.deletion_result.network, include_small_matrices=True)
     return result, maps
 

@@ -42,10 +42,12 @@ from repro.core import GroupDeletionConfig, RankClippingConfig, RankClipper
 from repro.core.conversion import convert_to_lowrank
 from repro.core.groups import derive_network_groups, matrix_group_norms
 from repro.experiments import (
+    ExperimentContext,
     SweepEngine,
+    execute_spec,
     get_scale,
     lenet_workload,
-    sweep_group_deletion,
+    spec_for_workload,
     train_baseline,
 )
 from repro.experiments.runner import StrengthPointTask
@@ -144,16 +146,22 @@ def collect_lockstep_stats():
             np.testing.assert_array_equal(values, lockstep_norms[name])
 
     # End-to-end sweep (adds the shared clip preamble + batched evaluation).
-    kwargs = dict(include_small_matrices=True, setup=setup, baseline_network=network)
-    start = time.perf_counter()
-    serial_sweep = sweep_group_deletion(
-        workload, STRENGTHS, engine=serial_engine, **kwargs
+    spec = spec_for_workload(
+        "sweep",
+        workload,
+        method="group_deletion",
+        grid=STRENGTHS,
+        include_small_matrices=True,
+        engine=serial_engine,
     )
+    context = ExperimentContext(workload, setup, network)
+    start = time.perf_counter()
+    serial_sweep = execute_spec(spec, context=context).result
     sweep_serial_s = time.perf_counter() - start
     start = time.perf_counter()
-    lockstep_sweep = sweep_group_deletion(
-        workload, STRENGTHS, engine=lockstep_engine, **kwargs
-    )
+    lockstep_sweep = execute_spec(
+        spec.with_updates(engine=lockstep_engine), context=context
+    ).result
     sweep_lockstep_s = time.perf_counter() - start
     assert serial_sweep.points == lockstep_sweep.points
 

@@ -46,7 +46,7 @@ from repro.experiments import (
     execute_spec,
     lenet_workload,
     mlp_workload,
-    sweep_group_deletion,
+    spec_for_workload,
     train_baseline,
 )
 from repro.nn.batched import batched_evaluate
@@ -62,13 +62,19 @@ def collect_sweep_stats():
     """Sweep timings/speedups as a flat dict (shared with run_benchmarks)."""
     workload = mlp_workload("tiny")
     network, baseline_accuracy, setup = train_baseline(workload)
-    kwargs = dict(
-        include_small_matrices=True, setup=setup, baseline_network=network
-    )
+    context = ExperimentContext(workload, setup, network)
 
     def timed(engine):
+        spec = spec_for_workload(
+            "sweep",
+            workload,
+            method="group_deletion",
+            grid=STRENGTHS,
+            include_small_matrices=True,
+            engine=engine,
+        )
         start = time.perf_counter()
-        sweep = sweep_group_deletion(workload, STRENGTHS, engine=engine, **kwargs)
+        sweep = execute_spec(spec, context=context).result
         return sweep, time.perf_counter() - start
 
     reference_sweep, t_reference = timed(SweepEngine.reference())

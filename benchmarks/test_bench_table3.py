@@ -15,7 +15,7 @@ close to the baseline after fine-tuning.
 """
 
 from bench_utils import run_once
-from repro.experiments import run_table3
+from repro.experiments import ExperimentContext, execute_spec, spec_for_workload
 
 #: Group-Lasso strengths tuned for the short SMALL-scale runs: strong enough
 #: to drive groups to zero within a few hundred iterations, weak enough for
@@ -38,14 +38,12 @@ def test_table3_lenet(benchmark, lenet_baseline):
     workload, network, accuracy, setup = lenet_baseline
     result = run_once(
         benchmark,
-        run_table3,
-        workload,
-        strength=LENET_STRENGTH,
-        include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+        execute_spec,
+        spec_for_workload(
+            "table3", workload, strength=LENET_STRENGTH, include_small_matrices=True
+        ),
+        context=ExperimentContext(workload, setup, network, accuracy),
+    ).result
     print()
     print(result.format_table())
     _check_shape(result)
@@ -55,14 +53,12 @@ def test_table3_convnet(benchmark, convnet_baseline):
     workload, network, accuracy, setup = convnet_baseline
     result = run_once(
         benchmark,
-        run_table3,
-        workload,
-        strength=CONVNET_STRENGTH,
-        include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+        execute_spec,
+        spec_for_workload(
+            "table3", workload, strength=CONVNET_STRENGTH, include_small_matrices=True
+        ),
+        context=ExperimentContext(workload, setup, network, accuracy),
+    ).result
     print()
     print(result.format_table())
     _check_shape(result)

@@ -4,9 +4,10 @@
 #   ci/run_ci.sh            # tier-1: full test + benchmark suite (includes
 #                           # the kernel parity / engine regression tests,
 #                           # the 2-worker sweep parity tests, the
-#                           # spec/store/CLI/deprecation-shim tests, and the
+#                           # spec/store/CLI/execution-path tests, and the
 #                           # crossbar-simulator parity/eval tests) plus
-#                           # `python -m repro` CLI smoke jobs
+#                           # `python -m repro` CLI smoke jobs and a tiny-
+#                           # scale run of the paper examples
 #   ci/run_ci.sh --quick    # engine regression tests only (fast iteration)
 #   ci/run_ci.sh --bench    # tier-1 plus one BENCH_<suite>.json data point
 #                           # per registered suite (suite names come from the
@@ -36,7 +37,6 @@ ENGINE_TESTS=(
   tests/test_spec.py
   tests/test_run_store.py
   tests/test_cli.py
-  tests/test_shims.py
   tests/test_hardware_sim.py
   tests/test_hardware_eval.py
   tests/test_analysis.py
@@ -66,6 +66,12 @@ else
   run_lint
   echo "== tier-1: full test + benchmark suite (kernel + sweep parity included) =="
   python -m pytest -x -q
+
+  echo "== examples smoke: paper workloads end to end at tiny scale =="
+  # Nothing else runs examples/; a deprecated call in them fails the job.
+  for example in lenet_mnist_scissor convnet_cifar_scissor; do
+    python -W error::DeprecationWarning "examples/$example.py" --scale tiny > /dev/null
+  done
 
   echo "== CLI smoke: spec -> run -> artifact -> resume -> show/compare =="
   CLI_STORE="$(mktemp -d)"

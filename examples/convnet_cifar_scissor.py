@@ -20,11 +20,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.experiments import (
+    ExperimentContext,
     convnet_workload,
-    run_table1,
-    run_table3,
+    execute_spec,
     sparsity_maps,
-    sweep_group_deletion,
+    spec_for_workload,
     train_baseline,
 )
 from repro.hardware import network_area_fraction
@@ -53,16 +53,14 @@ def main() -> None:
     print(f"=== Training the dense ConvNet baseline ({args.scale} scale) ===")
     network, accuracy, setup = train_baseline(workload)
     print(f"baseline accuracy: {accuracy:.2%}")
+    # Every experiment below starts from this one trained baseline.
+    context = ExperimentContext(workload, setup, network, accuracy)
 
     # ------------------------------------------------------------ Table 1
     print("\n=== Rank clipping (Table 1, ConvNet rows) ===")
-    table1 = run_table1(
-        workload,
-        tolerance=args.tolerance,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+    table1 = execute_spec(
+        spec_for_workload("table1", workload, tolerance=args.tolerance), context=context
+    ).result
     print(table1.format_table())
     ranks = table1.row("Rank clipping").ranks
     area = network_area_fraction(
@@ -72,15 +70,16 @@ def main() -> None:
 
     # ------------------------------------------------------------ Table 3
     print("\n=== Group connection deletion (Table 3, ConvNet rows) ===")
-    table3 = run_table3(
-        workload,
-        tolerance=args.tolerance,
-        strength=args.strength,
-        include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+    table3 = execute_spec(
+        spec_for_workload(
+            "table3",
+            workload,
+            tolerance=args.tolerance,
+            strength=args.strength,
+            include_small_matrices=True,
+        ),
+        context=context,
+    ).result
     print(table3.format_table())
 
     # ----------------------------------------------------------- Figure 9
@@ -94,14 +93,17 @@ def main() -> None:
 
     # ----------------------------------------------------------- Figure 8
     print("\n=== Routing wires / area vs classification error (Figure 8) ===")
-    sweep = sweep_group_deletion(
-        workload,
-        args.sweep,
-        tolerance=args.tolerance,
-        include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
-    )
+    sweep = execute_spec(
+        spec_for_workload(
+            "sweep",
+            workload,
+            method="group_deletion",
+            grid=args.sweep,
+            tolerance=args.tolerance,
+            include_small_matrices=True,
+        ),
+        context=context,
+    ).result
     print(sweep.format_table())
 
 

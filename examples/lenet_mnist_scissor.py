@@ -26,11 +26,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.experiments import (
+    ExperimentContext,
+    execute_spec,
     lenet_workload,
-    run_figure3,
-    run_figure5,
-    run_table1,
-    run_table3,
+    spec_for_workload,
     train_baseline,
 )
 from repro.hardware import network_area_fraction
@@ -52,16 +51,14 @@ def main() -> None:
     print(f"=== Training the dense LeNet baseline ({args.scale} scale) ===")
     network, accuracy, setup = train_baseline(workload)
     print(f"baseline accuracy: {accuracy:.2%}")
+    # Every experiment below starts from this one trained baseline.
+    context = ExperimentContext(workload, setup, network, accuracy)
 
     # ------------------------------------------------------------ Table 1
     print("\n=== Rank clipping (Table 1) ===")
-    table1 = run_table1(
-        workload,
-        tolerance=args.tolerance,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+    table1 = execute_spec(
+        spec_for_workload("table1", workload, tolerance=args.tolerance), context=context
+    ).result
     print(table1.format_table())
     ranks = table1.row("Rank clipping").ranks
     area = network_area_fraction(
@@ -71,38 +68,37 @@ def main() -> None:
 
     # ----------------------------------------------------------- Figure 3
     print("\n=== Rank-ratio trace during clipping (Figure 3) ===")
-    figure3 = run_figure3(
-        workload,
-        tolerance=args.tolerance,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+    figure3 = execute_spec(
+        spec_for_workload("figure3", workload, tolerance=args.tolerance), context=context
+    ).result
     print(figure3.format_series())
 
     # ------------------------------------------------------------ Table 3
     print("\n=== Group connection deletion (Table 3) ===")
-    table3 = run_table3(
-        workload,
-        tolerance=args.tolerance,
-        strength=args.strength,
-        include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+    table3 = execute_spec(
+        spec_for_workload(
+            "table3",
+            workload,
+            tolerance=args.tolerance,
+            strength=args.strength,
+            include_small_matrices=True,
+        ),
+        context=context,
+    ).result
     print(table3.format_table())
 
     # ----------------------------------------------------------- Figure 5
     print("\n=== Deleted-wire trace during deletion (Figure 5) ===")
-    figure5 = run_figure5(
-        workload,
-        tolerance=args.tolerance,
-        strength=args.strength,
-        include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
-    )
+    figure5 = execute_spec(
+        spec_for_workload(
+            "figure5",
+            workload,
+            tolerance=args.tolerance,
+            strength=args.strength,
+            include_small_matrices=True,
+        ),
+        context=context,
+    ).result
     print(figure5.format_series())
 
     print("\nSummary")

@@ -25,11 +25,6 @@ result assembly, artifact merging — so the batch path (engine fan-out /
 lockstep inside one process) and the node-granular path (the
 :mod:`repro.scheduler` job daemon, interleaving nodes of *different* specs)
 are bit-identical by construction.
-
-The imperative entry points (``run_table1``, ``sweep_rank_clipping``, …) are
-thin deprecation shims over this module: they lift their arguments into a
-spec, thread any pre-trained baseline through an :class:`ExperimentContext`,
-and return ``execute_spec(...).result``.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from __future__ import annotations
 import copy
 import platform
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -151,11 +145,11 @@ def build_plan(spec: ExperimentSpec) -> ExperimentPlan:
 class ExperimentContext:
     """Optional pre-trained material threaded into :func:`execute_spec`.
 
-    The deprecation shims and the benchmark harness reuse one trained
-    baseline across several experiments; passing it here skips the baseline
-    phase exactly as the old keyword arguments did.  ``workload`` overrides
-    the spec's registry lookup (required for workloads built with custom
-    constructor arguments).
+    The benchmark harness and callers that bring their own baseline (the
+    examples, the parity tests) reuse one trained baseline across several
+    experiments; passing it here skips the baseline phase.  ``workload``
+    overrides the spec's registry lookup (required for workloads built with
+    custom constructor arguments).
     """
 
     workload: Optional[Workload] = None
@@ -313,16 +307,6 @@ def run_environment() -> Dict[str, str]:
     }
 
 
-def warn_deprecated_entry_point(old: str, new: str) -> None:
-    """Deprecation notice emitted by the legacy imperative entry points."""
-    warnings.warn(
-        f"{old}() is deprecated; use {new} with "
-        "repro.experiments.execute_spec (or `python -m repro run`) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 # ------------------------------------------------------------------- executor
 def execute_spec(
     spec: ExperimentSpec,
@@ -340,7 +324,7 @@ def execute_spec(
     spec:
         The experiment to run.
     context:
-        Optional pre-trained baseline material (shims, benchmark harness).
+        Optional pre-trained baseline material (benchmark harness, examples).
     store:
         A :class:`~repro.experiments.store.RunStore`.  When given, the run is
         persisted as a content-addressed artifact; with ``resume=True`` any

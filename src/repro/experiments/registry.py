@@ -97,7 +97,7 @@ class ExperimentRegistry:
             yield name, spec, description
 
 
-#: The process-wide registry the CLI and shims consult.
+#: The process-wide registry the CLI and benchmark harness consult.
 REGISTRY = ExperimentRegistry()
 
 #: Device corners swept by the ``figure_hw`` / ``figure_hw_baseline`` presets:

@@ -394,10 +394,9 @@ def spec_for_workload(
 ) -> ExperimentSpec:
     """Build a spec matching an already-instantiated :class:`Workload`.
 
-    This is how the deprecated imperative entry points (``run_table1``,
-    ``sweep_rank_clipping``, …) route through the declarative core: the
+    For the benchmark harness and callers that bring their own baseline: the
     workload's name and scale are lifted into spec fields, and the concrete
-    workload object travels alongside in an
+    workload object (plus any pre-trained baseline) travels alongside in an
     :class:`~repro.experiments.plan.ExperimentContext`.
     """
     scale_name, overrides = scale_spec_fields(workload.scale)

@@ -1,4 +1,4 @@
-"""Table 3 result view and the legacy ``run_table3`` entry point.
+"""Table 3 result view.
 
 Table 3 reports, per big crossbar matrix, the MBC tile size selected by the
 library and the percentage of routing wires that survive group connection
@@ -7,7 +7,7 @@ paper quotes (8.1 % / 52.06 %).  The full pipeline (rank clipping on the
 trained baseline, then deletion on the big matrices) lives in the
 declarative core (:mod:`repro.experiments.plan`, ``kind="table3"``); this
 module keeps the result dataclasses with their rendering and JSON payload
-round-trip, and a thin deprecation shim preserving the old call signature.
+round-trip.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import numpy as np
 
 from repro.core.group_deletion import GroupDeletionResult
 from repro.core.rank_clipping import RankClippingResult
-from repro.experiments.runner import SweepEngine
-from repro.experiments.training import TrainingSetup
-from repro.experiments.workloads import Workload
 
 
 @dataclass(frozen=True)
@@ -131,51 +128,3 @@ class Table3Result:
                 f"{self.final_accuracy:.2%}"
             )
         return "\n".join(lines)
-
-
-def run_table3(
-    workload: Workload,
-    *,
-    tolerance: float = 0.03,
-    strength: float = 0.01,
-    include_small_matrices: bool = False,
-    setup: Optional[TrainingSetup] = None,
-    baseline_network=None,
-    baseline_accuracy: Optional[float] = None,
-    engine: Optional[SweepEngine] = None,
-) -> Table3Result:
-    """Regenerate Table 3 for one workload (deprecated imperative entry point).
-
-    .. deprecated::
-        Build an :class:`~repro.experiments.spec.ExperimentSpec` with
-        ``kind="table3"`` (or resolve the ``table3`` registry preset) and
-        call :func:`~repro.experiments.plan.execute_spec` — that path adds
-        artifact persistence and resume.  This shim lifts its arguments into
-        the same spec and returns the identical result.
-    """
-    from repro.experiments.plan import (
-        ExperimentContext,
-        execute_spec,
-        warn_deprecated_entry_point,
-    )
-    from repro.experiments.spec import spec_for_workload
-
-    warn_deprecated_entry_point("run_table3", 'ExperimentSpec(kind="table3")')
-    spec = spec_for_workload(
-        "table3",
-        workload,
-        tolerance=tolerance,
-        strength=strength,
-        include_small_matrices=include_small_matrices,
-        engine=engine,
-    )
-    run = execute_spec(
-        spec,
-        context=ExperimentContext(
-            workload=workload,
-            setup=setup,
-            baseline_network=baseline_network,
-            baseline_accuracy=baseline_accuracy,
-        ),
-    )
-    return run.result

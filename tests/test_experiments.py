@@ -8,10 +8,12 @@ from repro.experiments import (
     PAPER_HEADLINE,
     SMALL,
     TINY,
+    ExperimentContext,
     ExperimentScale,
     TrainingSetup,
     convnet_workload,
     crossbar_area_percent,
+    execute_spec,
     get_scale,
     get_workload,
     lenet_workload,
@@ -19,13 +21,8 @@ from repro.experiments import (
     mlp_workload,
     paper_headline_numbers,
     routing_area_percent_from_wires,
-    run_figure3,
-    run_figure5,
-    run_table1,
-    run_table3,
     sparsity_maps,
-    sweep_group_deletion,
-    sweep_rank_clipping,
+    spec_for_workload,
     train_baseline,
 )
 from repro.models.convnet import PAPER_CONVNET_RANKS, PAPER_CONVNET_SHAPES
@@ -124,9 +121,10 @@ class TestTableAndFigureHarnesses:
 
     def test_table1(self, baseline):
         workload, network, accuracy, setup = baseline
-        result = run_table1(
-            workload, setup=setup, baseline_network=network, baseline_accuracy=accuracy
-        )
+        result = execute_spec(
+            spec_for_workload("table1", workload),
+            context=ExperimentContext(workload, setup, network, accuracy),
+        ).result
         methods = [row.method for row in result.rows]
         assert methods == ["Original", "Direct LRA", "Rank clipping"]
         clipped = result.row("Rank clipping")
@@ -143,14 +141,12 @@ class TestTableAndFigureHarnesses:
 
     def test_table3_and_figure5(self, baseline):
         workload, network, accuracy, setup = baseline
-        result = run_table3(
-            workload,
-            strength=0.05,
-            include_small_matrices=True,
-            setup=setup,
-            baseline_network=network,
-            baseline_accuracy=accuracy,
-        )
+        result = execute_spec(
+            spec_for_workload(
+                "table3", workload, strength=0.05, include_small_matrices=True
+            ),
+            context=ExperimentContext(workload, setup, network, accuracy),
+        ).result
         assert result.rows
         for row in result.rows:
             assert 0.0 <= row.wire_fraction <= 1.0
@@ -159,13 +155,12 @@ class TestTableAndFigureHarnesses:
         assert 0.0 <= result.mean_routing_area_fraction() <= result.mean_wire_fraction() <= 1.0
         assert "MBC size" in result.format_table()
 
-        figure5 = run_figure5(
-            workload,
-            strength=0.05,
-            include_small_matrices=True,
-            setup=setup,
-            baseline_network=network,
-        )
+        figure5 = execute_spec(
+            spec_for_workload(
+                "figure5", workload, strength=0.05, include_small_matrices=True
+            ),
+            context=ExperimentContext(workload, setup, network),
+        ).result
         assert figure5.iterations
         fractions = figure5.final_deleted_fractions()
         assert all(0.0 <= f <= 1.0 for f in fractions.values())
@@ -173,9 +168,10 @@ class TestTableAndFigureHarnesses:
 
     def test_figure3(self, baseline):
         workload, network, accuracy, setup = baseline
-        series = run_figure3(
-            workload, setup=setup, baseline_network=network, baseline_accuracy=accuracy
-        )
+        series = execute_spec(
+            spec_for_workload("figure3", workload),
+            context=ExperimentContext(workload, setup, network, accuracy),
+        ).result
         assert series.iterations[0] == 0
         for name, ratios in series.rank_ratio.items():
             assert ratios[0] == pytest.approx(1.0)
@@ -201,13 +197,12 @@ class TestTableAndFigureHarnesses:
 
     def test_sweeps(self, baseline):
         workload, network, accuracy, setup = baseline
-        tolerance_sweep = sweep_rank_clipping(
-            workload,
-            [0.02, 0.3],
-            setup=setup,
-            baseline_network=network,
-            baseline_accuracy=accuracy,
-        )
+        tolerance_sweep = execute_spec(
+            spec_for_workload(
+                "sweep", workload, method="rank_clipping", grid=(0.02, 0.3)
+            ),
+            context=ExperimentContext(workload, setup, network, accuracy),
+        ).result
         assert tolerance_sweep.tolerances() == [0.02, 0.3]
         # Larger tolerance -> smaller (or equal) ranks and area.
         first, second = tolerance_sweep.points
@@ -217,13 +212,16 @@ class TestTableAndFigureHarnesses:
         assert len(tolerance_sweep.ranks_series(list(first.ranks)[0])) == 2
         assert "Tolerance sweep" in tolerance_sweep.format_table()
 
-        strength_sweep = sweep_group_deletion(
-            workload,
-            [0.005, 0.08],
-            include_small_matrices=True,
-            setup=setup,
-            baseline_network=network,
-        )
+        strength_sweep = execute_spec(
+            spec_for_workload(
+                "sweep",
+                workload,
+                method="group_deletion",
+                grid=(0.005, 0.08),
+                include_small_matrices=True,
+            ),
+            context=ExperimentContext(workload, setup, network),
+        ).result
         weak, strong = strength_sweep.points
         assert strength_sweep.strengths() == [0.005, 0.08]
         # Stronger lambda deletes at least as many wires on average.
@@ -234,10 +232,3 @@ class TestTableAndFigureHarnesses:
             assert len(strength_sweep.wire_series(matrix)) == 2
             assert len(strength_sweep.routing_area_series(matrix)) == 2
         assert "Strength sweep" in strength_sweep.format_table()
-
-    def test_sweep_validation(self, baseline):
-        workload, network, accuracy, setup = baseline
-        with pytest.raises(ValueError):
-            sweep_rank_clipping(workload, [], setup=setup, baseline_network=network)
-        with pytest.raises(ValueError):
-            sweep_group_deletion(workload, [], setup=setup, baseline_network=network)

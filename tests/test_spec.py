@@ -3,7 +3,10 @@
 Covers the ``ExperimentScale.with_overrides`` validation fix, spec
 validation, dict/JSON round-tripping, fingerprint stability (including
 across processes), point-fingerprint invariance to execution policy, and the
-planner's expansion.
+planner's expansion, and end-to-end execution: a prebuilt-baseline
+``ExperimentContext`` reproduces a self-trained run, and the serial /
+parallel / lockstep engine policies stay bit-identical through
+``execute_spec``.
 """
 
 import json
@@ -17,18 +20,69 @@ import pytest
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments import (
     TINY,
+    ExperimentContext,
     ExperimentSpec,
     SweepEngine,
     baseline_fingerprint,
     build_plan,
+    execute_spec,
     mlp_workload,
     point_fingerprint,
     spec_for_workload,
+    train_baseline,
 )
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 FAST = dict(train_samples=120, test_samples=48, baseline_iterations=30)
+
+#: ``FAST`` plus short clipping / deletion phases, for specs that execute.
+RUN_FAST = dict(
+    FAST,
+    clip_iterations=20,
+    clip_interval=10,
+    deletion_iterations=20,
+    finetune_iterations=10,
+    record_interval=10,
+    eval_interval=20,
+    batch_size=24,
+)
+
+#: One (kind, method, fields) case per paper deliverable kind.
+EXECUTION_CASES = [
+    pytest.param("table1", "rank_clipping", {}, id="table1"),
+    pytest.param(
+        "table3",
+        "group_deletion",
+        dict(strength=0.05, include_small_matrices=True),
+        id="table3",
+    ),
+    pytest.param("figure3", "rank_clipping", {}, id="figure3"),
+    pytest.param(
+        "figure5",
+        "group_deletion",
+        dict(strength=0.05, include_small_matrices=True),
+        id="figure5",
+    ),
+    pytest.param("sweep", "rank_clipping", dict(grid=(0.05, 0.3)), id="sweep-eps"),
+    pytest.param(
+        "sweep",
+        "group_deletion",
+        dict(grid=(0.01, 0.08), include_small_matrices=True),
+        id="sweep-lambda",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def fast_workload():
+    return mlp_workload(TINY.with_overrides(**RUN_FAST))
+
+
+@pytest.fixture(scope="module")
+def fast_baseline(fast_workload):
+    network, accuracy, setup = train_baseline(fast_workload)
+    return network, accuracy, setup
 
 
 class TestScaleOverrides:
@@ -305,3 +359,64 @@ class TestBuildPlan:
     def test_epsilon_sweep_keeps_points_path(self):
         spec = ExperimentSpec(kind="sweep", method="rank_clipping", grid=(0.1,), engine=SweepEngine(mode="lockstep"))
         assert build_plan(spec).execution == "serial"
+
+
+class TestPrebuiltBaseline:
+    """A baseline passed through the context changes nothing in the result."""
+
+    @pytest.mark.parametrize("kind, method, fields", EXECUTION_CASES)
+    def test_matches_self_trained_baseline(
+        self, kind, method, fields, fast_workload, fast_baseline
+    ):
+        network, accuracy, setup = fast_baseline
+        spec = spec_for_workload(kind, fast_workload, method=method, **fields)
+        context = ExperimentContext(fast_workload, setup, network, accuracy)
+        prebuilt = execute_spec(spec, context=context)
+        self_trained = execute_spec(spec)  # trains its own (deterministic) baseline
+        assert prebuilt.result.to_payload() == self_trained.result.to_payload()
+
+
+class TestEngineModesUnderPlanner:
+    """Serial / parallel / lockstep stay bit-identical through the spec path."""
+
+    def test_lambda_sweep_policies_bit_identical(self, fast_workload, fast_baseline):
+        network, accuracy, setup = fast_baseline
+        spec = spec_for_workload(
+            "sweep",
+            fast_workload,
+            method="group_deletion",
+            grid=(0.01, 0.08),
+            include_small_matrices=True,
+        )
+        context = ExperimentContext(
+            workload=fast_workload, setup=setup, baseline_network=network
+        )
+        serial = execute_spec(spec, context=context)
+        parallel = execute_spec(spec.with_updates(workers=2), context=context)
+        lockstep = execute_spec(spec.with_updates(mode="lockstep"), context=context)
+        assert serial.result.points == parallel.result.points
+        assert serial.result.points == lockstep.result.points
+        assert (
+            serial.result.baseline_accuracy
+            == parallel.result.baseline_accuracy
+            == lockstep.result.baseline_accuracy
+        )
+
+    def test_epsilon_sweep_workers_bit_identical(self, fast_workload, fast_baseline):
+        network, accuracy, setup = fast_baseline
+        spec = spec_for_workload(
+            "sweep",
+            fast_workload,
+            method="rank_clipping",
+            grid=(0.05, 0.3),
+            engine=SweepEngine(per_point_seed=True),
+        )
+        context = ExperimentContext(
+            workload=fast_workload,
+            setup=setup,
+            baseline_network=network,
+            baseline_accuracy=accuracy,
+        )
+        serial = execute_spec(spec, context=context)
+        parallel = execute_spec(spec.with_updates(workers=2), context=context)
+        assert serial.result.points == parallel.result.points

@@ -21,14 +21,15 @@ from repro.core import (
 )
 from repro.exceptions import ConfigurationError, LayerError
 from repro.experiments import (
+    ExperimentContext,
     StrengthPoint,
     StrengthSweepResult,
     SweepEngine,
     TolerancePoint,
     ToleranceSweepResult,
+    execute_spec,
     mlp_workload,
-    sweep_group_deletion,
-    sweep_rank_clipping,
+    spec_for_workload,
     train_baseline,
 )
 from repro.hardware.routing import RoutingAnalysisCache, analyze_routing, mask_fingerprint
@@ -51,59 +52,59 @@ STRENGTHS = [0.01, 0.08]
 class TestSerialParallelParity:
     def test_rank_clipping_points_bit_identical(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
-        kwargs = dict(setup=setup, baseline_network=network, baseline_accuracy=accuracy)
-        serial = sweep_rank_clipping(
-            workload, TOLERANCES, engine=SweepEngine(workers=1), **kwargs
+        context = ExperimentContext(workload, setup, network, accuracy)
+        spec = spec_for_workload(
+            "sweep", workload, method="rank_clipping", grid=TOLERANCES
         )
-        parallel = sweep_rank_clipping(
-            workload, TOLERANCES, engine=SweepEngine(workers=2), **kwargs
-        )
+        serial = execute_spec(spec.with_updates(workers=1), context=context).result
+        parallel = execute_spec(spec.with_updates(workers=2), context=context).result
         assert serial.baseline_accuracy == parallel.baseline_accuracy
         assert serial.points == parallel.points  # frozen dataclass equality: bitwise
 
     def test_group_deletion_points_bit_identical(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
-        kwargs = dict(
-            setup=setup, baseline_network=network, include_small_matrices=True
+        context = ExperimentContext(workload, setup, network)
+        spec = spec_for_workload(
+            "sweep",
+            workload,
+            method="group_deletion",
+            grid=STRENGTHS,
+            include_small_matrices=True,
         )
-        serial = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(workers=1), **kwargs
-        )
-        parallel = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(workers=2), **kwargs
-        )
+        serial = execute_spec(spec.with_updates(workers=1), context=context).result
+        parallel = execute_spec(spec.with_updates(workers=2), context=context).result
         assert serial.baseline_accuracy == parallel.baseline_accuracy
         assert serial.points == parallel.points
 
     def test_per_point_seed_is_order_insensitive(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
-        kwargs = dict(setup=setup, baseline_network=network, baseline_accuracy=accuracy)
-        serial = sweep_rank_clipping(
+        context = ExperimentContext(workload, setup, network, accuracy)
+        spec = spec_for_workload(
+            "sweep",
             workload,
-            TOLERANCES,
-            engine=SweepEngine(workers=1, per_point_seed=True),
-            **kwargs,
+            method="rank_clipping",
+            grid=TOLERANCES,
+            engine=SweepEngine(per_point_seed=True),
         )
-        parallel = sweep_rank_clipping(
-            workload,
-            TOLERANCES,
-            engine=SweepEngine(workers=2, per_point_seed=True),
-            **kwargs,
-        )
+        serial = execute_spec(spec.with_updates(workers=1), context=context).result
+        parallel = execute_spec(spec.with_updates(workers=2), context=context).result
         assert serial.points == parallel.points
 
     def test_engine_matches_reference_semantics(self, trained_baseline):
         """The optimized engine reports the same sweep as the reference path."""
         workload, network, accuracy, setup = trained_baseline
-        kwargs = dict(
-            setup=setup, baseline_network=network, include_small_matrices=True
+        context = ExperimentContext(workload, setup, network)
+        spec = spec_for_workload(
+            "sweep",
+            workload,
+            method="group_deletion",
+            grid=STRENGTHS,
+            include_small_matrices=True,
         )
-        fast = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(), **kwargs
-        )
-        reference = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine.reference(), **kwargs
-        )
+        fast = execute_spec(spec, context=context).result
+        reference = execute_spec(
+            spec.with_updates(engine=SweepEngine.reference()), context=context
+        ).result
         for a, b in zip(fast.points, reference.points):
             assert a.strength == b.strength
             # Training trajectories agree up to the penalty's floating-point
@@ -124,13 +125,16 @@ class TestLockstepMode:
     def test_lockstep_sweep_bit_identical_to_points(self, trained_baseline):
         """mode="lockstep" must reproduce the per-point engine path bitwise."""
         workload, network, accuracy, setup = trained_baseline
-        kwargs = dict(setup=setup, baseline_network=network, include_small_matrices=True)
-        points = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(), **kwargs
+        context = ExperimentContext(workload, setup, network)
+        spec = spec_for_workload(
+            "sweep",
+            workload,
+            method="group_deletion",
+            grid=STRENGTHS,
+            include_small_matrices=True,
         )
-        lockstep = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(mode="lockstep"), **kwargs
-        )
+        points = execute_spec(spec, context=context).result
+        lockstep = execute_spec(spec.with_updates(mode="lockstep"), context=context).result
         assert points.baseline_accuracy == lockstep.baseline_accuracy
         assert points.points == lockstep.points  # frozen dataclass equality: bitwise
         assert lockstep.routing_cache_stats["hits"] > 0
@@ -138,39 +142,42 @@ class TestLockstepMode:
     def test_lockstep_with_per_point_seed(self, trained_baseline):
         """Per-point data streams keep lockstep bit-identical to points mode."""
         workload, network, accuracy, setup = trained_baseline
-        kwargs = dict(setup=setup, baseline_network=network, include_small_matrices=True)
-        points = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(per_point_seed=True), **kwargs
-        )
-        lockstep = sweep_group_deletion(
+        context = ExperimentContext(workload, setup, network)
+        spec = spec_for_workload(
+            "sweep",
             workload,
-            STRENGTHS,
-            engine=SweepEngine(per_point_seed=True, mode="lockstep"),
-            **kwargs,
+            method="group_deletion",
+            grid=STRENGTHS,
+            include_small_matrices=True,
+            engine=SweepEngine(per_point_seed=True),
         )
+        points = execute_spec(spec, context=context).result
+        lockstep = execute_spec(spec.with_updates(mode="lockstep"), context=context).result
         assert points.points == lockstep.points
 
     def test_single_point_falls_back_to_serial(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
-        kwargs = dict(setup=setup, baseline_network=network, include_small_matrices=True)
-        points = sweep_group_deletion(
-            workload, [0.05], engine=SweepEngine(), **kwargs
+        context = ExperimentContext(workload, setup, network)
+        spec = spec_for_workload(
+            "sweep",
+            workload,
+            method="group_deletion",
+            grid=[0.05],
+            include_small_matrices=True,
         )
-        lockstep = sweep_group_deletion(
-            workload, [0.05], engine=SweepEngine(mode="lockstep"), **kwargs
-        )
+        points = execute_spec(spec, context=context).result
+        lockstep = execute_spec(spec.with_updates(mode="lockstep"), context=context).result
         assert points.points == lockstep.points
 
     def test_tolerance_sweep_ignores_lockstep_mode(self, trained_baseline):
         """ε points diverge structurally at the first clip; the points path runs."""
         workload, network, accuracy, setup = trained_baseline
-        kwargs = dict(setup=setup, baseline_network=network, baseline_accuracy=accuracy)
-        points = sweep_rank_clipping(
-            workload, TOLERANCES, engine=SweepEngine(), **kwargs
+        context = ExperimentContext(workload, setup, network, accuracy)
+        spec = spec_for_workload(
+            "sweep", workload, method="rank_clipping", grid=TOLERANCES
         )
-        lockstep = sweep_rank_clipping(
-            workload, TOLERANCES, engine=SweepEngine(mode="lockstep"), **kwargs
-        )
+        points = execute_spec(spec, context=context).result
+        lockstep = execute_spec(spec.with_updates(mode="lockstep"), context=context).result
         assert points.points == lockstep.points
 
 
@@ -366,35 +373,29 @@ class TestRoutingMemoization:
 
     def test_sweep_aggregates_cache_stats_and_wire_trace(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
-        sweep = sweep_group_deletion(
+        context = ExperimentContext(workload, setup, network)
+        spec = spec_for_workload(
+            "sweep",
             workload,
-            STRENGTHS,
-            setup=setup,
-            baseline_network=network,
+            method="group_deletion",
+            grid=STRENGTHS,
             include_small_matrices=True,
         )
+        sweep = execute_spec(spec, context=context).result
         assert sweep.routing_cache_stats["hits"] > 0
-        reference = sweep_group_deletion(
-            workload,
-            STRENGTHS,
-            setup=setup,
-            baseline_network=network,
-            include_small_matrices=True,
-            engine=SweepEngine.reference(),
-        )
+        reference = execute_spec(
+            spec.with_updates(engine=SweepEngine.reference()), context=context
+        ).result
         assert reference.routing_cache_stats == {}
 
     def test_figure5_exposes_remaining_wire_trace(self, trained_baseline):
-        from repro.experiments import run_figure5
-
         workload, network, accuracy, setup = trained_baseline
-        series = run_figure5(
-            workload,
-            strength=0.05,
-            include_small_matrices=True,
-            setup=setup,
-            baseline_network=network,
-        )
+        series = execute_spec(
+            spec_for_workload(
+                "figure5", workload, strength=0.05, include_small_matrices=True
+            ),
+            context=ExperimentContext(workload, setup, network),
+        ).result
         assert series.remaining_wire_fraction
         for fractions in series.remaining_wire_fraction.values():
             assert len(fractions) == len(series.iterations)
