@@ -16,10 +16,10 @@ can never drift.
 
 The kernel records carry the per-kernel reference/vectorized timings (ms),
 the speedups, and the ``map_network`` throughput numbers.  The sweep records
-carry the reference / serial-engine / parallel-engine wall-clock of a
-multi-point λ sweep plus the batched-evaluation timings, and the figure7
-point-phase time serial vs ``workers=2`` with the cores, BLAS threads and
-start method it ran under.  The lockstep
+carry the serial-engine / parallel-engine wall-clock and routing-cache
+hits/misses of a multi-point λ sweep plus the batched-evaluation timings,
+and the figure7 point-phase time serial vs ``workers=2`` with the cores,
+BLAS threads and start method it ran under.  The lockstep
 records carry the serial-per-point vs lockstep-stacked training wall-clock of
 the λ sweep's point phase and the end-to-end sweep.
 """
@@ -89,7 +89,11 @@ def run_kernels(output: Path, check: bool) -> int:
 def run_sweeps(output: Path, check: bool) -> int:
     import multiprocessing
 
-    from test_bench_sweeps import collect_policy_stats, collect_sweep_stats
+    from test_bench_sweeps import (
+        collect_policy_stats,
+        collect_sweep_stats,
+        routing_cache_gate,
+    )
 
     record = _base_record()
     record["start_method"] = multiprocessing.get_start_method()
@@ -99,12 +103,10 @@ def run_sweeps(output: Path, check: bool) -> int:
     _append(output, record)
 
     print(f"sweep benchmark ({record['timestamp']}) -> {output}")
-    print(f"  reference              {record['reference_s']:.2f} s "
-          f"({record['points']} lambda points)")
     print(f"  serial engine          {record['serial_engine_s']:.2f} s "
-          f"({record['serial_speedup']:.2f}x)")
-    print(f"  parallel engine (2w)   {record['parallel_engine_s']:.2f} s "
-          f"({record['parallel_speedup']:.2f}x)")
+          f"({record['points']} lambda points; routing cache "
+          f"{record['routing_cache_hits']} hits / {record['routing_cache_misses']} misses)")
+    print(f"  parallel engine (2w)   {record['parallel_engine_s']:.2f} s")
     print(f"  batched evaluation     {record['eval_batched_ms']:.1f} ms vs "
           f"{record['eval_individual_ms']:.1f} ms "
           f"({record['eval_batched_speedup']:.2f}x)")
@@ -113,11 +115,12 @@ def run_sweeps(output: Path, check: bool) -> int:
           f"({record['figure7_parallel_speedup']:.2f}x; {record['cores']} cores, "
           f"{record['blas_threads']} BLAS threads, {record['start_method']})")
 
-    if check and record["parallel_speedup"] < 2.0:
-        print("FAIL: parallel sweep speedup fell below 2x", file=sys.stderr)
+    # Serial == parallel bit-identity is asserted while collecting.
+    if check and not routing_cache_gate(record):
+        print("FAIL: serial sweep routing cache served no more hits than misses",
+              file=sys.stderr)
         return 1
-    # Two workers on two or more cores must beat serial outright; the
-    # reference-engine ratio above cannot catch a pool slower than serial.
+    # Two workers on two or more cores must beat serial outright.
     if check and record["cores"] >= 2 and record["figure7_parallel_speedup"] < 1.15:
         print("FAIL: figure7 workers=2 is less than 1.15x faster than serial",
               file=sys.stderr)

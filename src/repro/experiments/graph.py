@@ -380,8 +380,7 @@ class GraphExecution:
         totals are order-insensitive — same query set, same unique-key
         count), while the parallel path gives every worker a private cache.
         """
-        engine = self.spec.engine
-        return bool(engine.memoize_routing) and self.plan.execution != "parallel"
+        return self.plan.execution != "parallel"
 
     def _journal(self, point_fingerprint: str, payload: Dict[str, Any]) -> None:
         if self.store is not None:
@@ -736,10 +735,7 @@ class GraphExecution:
         # Finalize exactly like the journaled batch path: per-point
         # evaluation + simulation (bit-identical to the batched tail) and a
         # durable journal append before the node reports done.
-        if engine.inline_training_eval:
-            accuracy = outcome.accuracy if outcome.accuracy is not None else 0.0
-        else:
-            accuracy = engine.evaluate_networks([outcome.network], self._setup)[0]
+        accuracy = engine.evaluate_networks([outcome.network], self._setup)[0]
         if self._mapper is None:
             self._mapper = NetworkMapper()
         hardware = _run_hardware_stage(

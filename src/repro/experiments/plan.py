@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.core.config import GroupDeletionConfig, RankClippingConfig
 from repro.core.conversion import convert_to_lowrank, direct_lra
+from repro.core.group_deletion import GroupConnectionDeleter
 from repro.core.rank_clipping import RankClipper
 from repro.exceptions import ExperimentError
 from repro.experiments.figures import Figure3Series, Figure5Series
@@ -615,7 +616,6 @@ def _run_table3(
     baseline_accuracy: float,
 ) -> Table3Result:
     """Table 3: full pipeline (clipping + deletion) and per-matrix reporting."""
-    engine = spec.engine
     scale = workload.scale
     layer_order = list(workload.clippable_layers)
     lowrank_network = convert_to_lowrank(baseline_network, layers=layer_order)
@@ -636,7 +636,7 @@ def _run_table3(
         finetune_iterations=scale.finetune_iterations,
         include_small_matrices=spec.include_small_matrices,
     )
-    deleter = engine.make_deleter(deletion_config, record_interval=scale.record_interval)
+    deleter = GroupConnectionDeleter(deletion_config, record_interval=scale.record_interval)
     deletion = deleter.run(lowrank_network, setup.trainer_factory)
 
     mapper = NetworkMapper()
@@ -701,7 +701,6 @@ def _run_figure5(
     baseline_network,
 ) -> Figure5Series:
     """Figure 5: deleted-wire and accuracy traces during group deletion."""
-    engine = spec.engine
     scale = workload.scale
     layer_order = list(workload.clippable_layers)
     lowrank_network = convert_to_lowrank(baseline_network, layers=layer_order)
@@ -720,7 +719,7 @@ def _run_figure5(
         finetune_iterations=scale.finetune_iterations,
         include_small_matrices=spec.include_small_matrices,
     )
-    deleter = engine.make_deleter(deletion_config, record_interval=scale.record_interval)
+    deleter = GroupConnectionDeleter(deletion_config, record_interval=scale.record_interval)
     deletion = deleter.run(lowrank_network, setup.trainer_factory)
     trace = deletion.trace
     return Figure5Series(
@@ -872,10 +871,7 @@ def _run_tolerance_points(
         mapper = NetworkMapper()
 
         def finalize(slot: int, outcome) -> None:
-            if engine.inline_training_eval:
-                accuracy = outcome.accuracy if outcome.accuracy is not None else 0.0
-            else:
-                accuracy = engine.evaluate_networks([outcome.network], setup)[0]
+            accuracy = engine.evaluate_networks([outcome.network], setup)[0]
             hardware = _run_hardware_stage(
                 spec, setup, [outcome.network], timings, mapper=mapper
             )[0]
@@ -893,15 +889,9 @@ def _run_tolerance_points(
     outcome_map = engine.map_points(run_tolerance_point, tolerance_tasks(), monitor)
     slots = sorted(outcome_map)
     outcomes = [outcome_map[slot] for slot in slots]
-    if engine.inline_training_eval:
-        accuracies = [
-            outcome.accuracy if outcome.accuracy is not None else 0.0
-            for outcome in outcomes
-        ]
-    else:
-        accuracies = engine.evaluate_networks(
-            [outcome.network for outcome in outcomes], setup
-        )
+    accuracies = engine.evaluate_networks(
+        [outcome.network for outcome in outcomes], setup
+    )
     hardware = _run_hardware_stage(
         spec, setup, [outcome.network for outcome in outcomes], timings
     )
@@ -963,8 +953,6 @@ def make_strength_task(
         setup=spec.engine.point_setup(setup, point.index),
         config=config,
         record_interval=scale.record_interval,
-        structured_lasso=spec.engine.structured_lasso,
-        memoize_routing=spec.engine.memoize_routing,
     )
 
 
@@ -1026,10 +1014,7 @@ def _run_strength_points(
 
         def finalize(slot: int, outcome) -> None:
             absorb_stats(outcome)
-            if engine.inline_training_eval:
-                accuracy = outcome.accuracy if outcome.accuracy is not None else 0.0
-            else:
-                accuracy = engine.evaluate_networks([outcome.network], setup)[0]
+            accuracy = engine.evaluate_networks([outcome.network], setup)[0]
             hardware = _run_hardware_stage(
                 spec, setup, [outcome.network], timings, mapper=mapper
             )[0]
@@ -1047,15 +1032,9 @@ def _run_strength_points(
     outcome_map = engine.run_strength_points(strength_tasks(), monitor)
     slots = sorted(outcome_map)
     outcomes = [outcome_map[slot] for slot in slots]
-    if engine.inline_training_eval:
-        accuracies = [
-            outcome.accuracy if outcome.accuracy is not None else 0.0
-            for outcome in outcomes
-        ]
-    else:
-        accuracies = engine.evaluate_networks(
-            [outcome.network for outcome in outcomes], setup
-        )
+    accuracies = engine.evaluate_networks(
+        [outcome.network for outcome in outcomes], setup
+    )
     for outcome in outcomes:
         absorb_stats(outcome)
     hardware = _run_hardware_stage(

@@ -719,8 +719,6 @@ def _serial_strength_points(
     from repro.experiments.runner import run_strength_point
     from repro.hardware.routing import RoutingAnalysisCache
 
-    if not engine.memoize_routing:
-        return _serial_map(engine, run_strength_point, tasks, monitor)
     cache = RoutingAnalysisCache()
 
     def prepare(task):
@@ -743,7 +741,7 @@ def _supervised_lockstep(
     # copies so a mid-training failure can restart point-by-point cleanly.
     pristine = copy.deepcopy(tasks)
     try:
-        outcomes = _run_lockstep_strength_points(engine, tasks)
+        outcomes = _run_lockstep_strength_points(tasks)
     except KeyboardInterrupt:
         monitor.interrupted = True
         return {}

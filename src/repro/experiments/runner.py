@@ -22,21 +22,17 @@ retrain from one shared baseline.  The points are mutually independent, so a
   via :func:`repro.utils.rng.derive_point_seed`, so even independently-seeded
   sweeps are reproducible regardless of execution order or process placement.
 * **Batched multi-network evaluation** — the engine skips the per-point
-  test-set passes whose results the sweep never reports
-  (``inline_training_eval=False`` strips the held-out split from the point
-  trainers) and instead evaluates all finished point networks together with
-  :func:`repro.nn.batched.batched_evaluate`: im2col patches are extracted
-  once per group of identical architectures and all K networks ride one
-  stack of batched matmuls.
-* **Routing memoization / structured group Lasso** — point tasks construct
-  their :class:`~repro.core.group_deletion.GroupConnectionDeleter` through
-  the engine flags, enabling the vectorized
-  :class:`~repro.core.groups.CrossbarGroupLasso` penalty and the
-  :class:`~repro.hardware.routing.RoutingAnalysisCache`.
-
-``SweepEngine.reference()`` disables every optimization (inline per-point
-evaluation, flat per-group Lasso, no memoization, no batching) and is kept as
-the benchmark baseline configuration.
+  test-set passes whose results the sweep never reports (the held-out split
+  is stripped from the point trainers) and instead evaluates all finished
+  point networks together with :func:`repro.nn.batched.batched_evaluate`:
+  im2col patches are extracted once per group of identical architectures and
+  all K networks ride one stack of batched matmuls.
+* **Routing memoization** — every λ point's
+  :class:`~repro.core.group_deletion.GroupConnectionDeleter` trains with the
+  vectorized :class:`~repro.core.groups.CrossbarGroupLasso` penalty and
+  routes its analyses through a
+  :class:`~repro.hardware.routing.RoutingAnalysisCache`; serial and lockstep
+  sweeps thread one cache through all their points.
 
 The engine serves two executors: the batch path (one engine stage for all
 pending points, via :func:`~repro.experiments.resilience.supervised_map` /
@@ -82,20 +78,6 @@ class SweepEngine:
         the point tasks inline; ``>= 2`` fans them out over a process pool
         whose workers each run ``cores // workers`` BLAS threads (the
         parent keeps its own).  Results are bit-identical either way.
-    batched_eval:
-        Evaluate the finished point networks together through
-        :func:`repro.nn.batched.batched_evaluate` instead of one ``predict``
-        per network.
-    memoize_routing:
-        Give each point's deleter a
-        :class:`~repro.hardware.routing.RoutingAnalysisCache`.
-    structured_lasso:
-        Use the vectorized crossbar-aware group-Lasso penalty.
-    inline_training_eval:
-        Keep the held-out split attached to the point trainers so every
-        record/clip step evaluates, as the pre-engine sweeps did.  Off by
-        default: the sweeps never report those intermediate accuracies, and
-        the training trajectory is unaffected.
     per_point_seed:
         Derive an independent, order-insensitive seed per point instead of
         sharing the baseline's data stream across points.
@@ -120,10 +102,6 @@ class SweepEngine:
     """
 
     workers: int = 1
-    batched_eval: bool = True
-    memoize_routing: bool = True
-    structured_lasso: bool = True
-    inline_training_eval: bool = False
     per_point_seed: bool = False
     start_method: Optional[str] = None
     mode: str = "points"
@@ -167,8 +145,23 @@ class SweepEngine:
 
         Unknown keys raise :class:`ConfigurationError` so stale or typo'd
         artifacts fail loudly instead of silently running a default policy.
+        Payloads written while the retired engine switches existed still
+        load: a retired key at its pinned value (see
+        :data:`repro.experiments.spec.RETIRED_ENGINE_FIELDS`) is dropped, and
+        any other value raises, since that execution path no longer exists.
         """
+        from repro.experiments.spec import RETIRED_ENGINE_FIELDS
+
         payload = dict(payload or {})
+        for key, pinned in RETIRED_ENGINE_FIELDS.items():
+            if key not in payload:
+                continue
+            value = payload.pop(key)
+            if value != pinned:
+                raise ConfigurationError(
+                    f"SweepEngine field {key!r} was retired; only {key}={pinned} is "
+                    f"supported, got {key}={value!r}"
+                )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -177,49 +170,24 @@ class SweepEngine:
             )
         return cls(**payload)
 
-    @classmethod
-    def reference(cls) -> "SweepEngine":
-        """The pre-engine execution policy (serial, unbatched, unmemoized).
-
-        Kept as the baseline configuration for the sweep-throughput
-        benchmark so speedups are measured against like-for-like work.
-        """
-        return cls(
-            workers=1,
-            batched_eval=False,
-            memoize_routing=False,
-            structured_lasso=False,
-            inline_training_eval=True,
-        )
-
     # ------------------------------------------------------------ setups
     def point_setup(self, setup: TrainingSetup, index: int) -> TrainingSetup:
         """The training setup one sweep point should run with."""
-        prepared = setup
+        prepared = self.shared_setup(setup)
         if self.per_point_seed:
             prepared = replace(prepared, seed=derive_point_seed(setup.seed, index))
-        if not self.inline_training_eval and prepared.evaluate_during_training:
-            prepared = replace(prepared, evaluate_during_training=False)
         return prepared
 
-    def shared_setup(self, setup: TrainingSetup) -> TrainingSetup:
-        """Setup for shared (pre-fan-out) phases, e.g. the λ sweep's clipping."""
-        if not self.inline_training_eval and setup.evaluate_during_training:
+    @staticmethod
+    def shared_setup(setup: TrainingSetup) -> TrainingSetup:
+        """Setup for shared (pre-fan-out) phases, e.g. the λ sweep's clipping.
+
+        The held-out split is detached: the sweeps never report intermediate
+        accuracies, and the training trajectory does not depend on them.
+        """
+        if setup.evaluate_during_training:
             return replace(setup, evaluate_during_training=False)
         return setup
-
-    # ----------------------------------------------------------- drivers
-    def make_deleter(
-        self, config: GroupDeletionConfig, *, record_interval: int, **kwargs
-    ) -> GroupConnectionDeleter:
-        """A :class:`GroupConnectionDeleter` honouring the engine flags."""
-        return GroupConnectionDeleter(
-            config,
-            record_interval=record_interval,
-            structured_lasso=self.structured_lasso,
-            memoize_routing=self.memoize_routing,
-            **kwargs,
-        )
 
     # ----------------------------------------------------------- fan-out
     def map_points(
@@ -257,11 +225,9 @@ class SweepEngine:
     def evaluate_networks(
         self, networks: Sequence[Sequential], setup: TrainingSetup
     ) -> List[float]:
-        """Held-out accuracy of every network, batched when enabled."""
+        """Held-out accuracy of every network, evaluated as one batch."""
         inputs, targets = setup.test_dataset.arrays()
-        if self.batched_eval:
-            return batched_evaluate(networks, inputs, targets, batch_size=256)
-        return [setup.evaluate(network) for network in networks]
+        return batched_evaluate(networks, inputs, targets, batch_size=256)
 
     # --------------------------------------------------- strength execution
     def run_strength_points(
@@ -290,8 +256,8 @@ class SweepEngine:
         if self.mode == "lockstep":
             tasks = list(tasks)
             if len(tasks) > 1:
-                return _run_lockstep_strength_points(self, tasks)
-        if not self.memoize_routing or self.workers > 1:
+                return _run_lockstep_strength_points(tasks)
+        if self.workers > 1:
             return self.map_points(run_strength_point, tasks)
         cache = RoutingAnalysisCache()
         outcomes = []
@@ -323,7 +289,6 @@ class TolerancePointOutcome:
     tolerance: float
     network: Sequential
     ranks: Dict[str, int]
-    accuracy: Optional[float]
 
 
 def run_tolerance_point(task: TolerancePointTask) -> TolerancePointOutcome:
@@ -334,7 +299,6 @@ def run_tolerance_point(task: TolerancePointTask) -> TolerancePointOutcome:
         tolerance=task.tolerance,
         network=task.network,
         ranks=dict(clipping.final_ranks),
-        accuracy=clipping.final_accuracy,
     )
 
 
@@ -353,8 +317,6 @@ class StrengthPointTask:
     setup: TrainingSetup
     config: GroupDeletionConfig
     record_interval: int
-    structured_lasso: bool = True
-    memoize_routing: bool = True
     routing_cache_entries: Optional[List[Tuple[tuple, int]]] = None
 
 
@@ -371,36 +333,26 @@ class StrengthPointOutcome:
     network: Sequential
     wire_fractions: Dict[str, float]
     routing_area_fractions: Dict[str, float]
-    accuracy: Optional[float]
     routing_cache_stats: Optional[Dict[str, int]] = None
     routing_cache_entries: Optional[List[Tuple[tuple, int]]] = None
 
 
 def run_strength_point(task: StrengthPointTask) -> StrengthPointOutcome:
     """Execute one λ point (module-level so process pools can import it)."""
-    cache = None
-    if task.memoize_routing:
-        cache = RoutingAnalysisCache()
-        cache.merge_entries(task.routing_cache_entries)
+    cache = RoutingAnalysisCache()
+    cache.merge_entries(task.routing_cache_entries)
     deleter = GroupConnectionDeleter(
-        task.config,
-        record_interval=task.record_interval,
-        structured_lasso=task.structured_lasso,
-        memoize_routing=task.memoize_routing,
-        routing_cache=cache,
+        task.config, record_interval=task.record_interval, routing_cache=cache
     )
     deletion = deleter.run(task.network, task.setup.trainer_factory)
-    stats = None if deleter.routing_cache is None else deleter.routing_cache.stats()
-    entries = None if deleter.routing_cache is None else deleter.routing_cache.export_entries()
     return StrengthPointOutcome(
         index=task.index,
         strength=task.strength,
         network=task.network,
         wire_fractions=deletion.wire_fractions(),
         routing_area_fractions=deletion.routing_area_fractions(),
-        accuracy=deletion.accuracy_after_finetune,
-        routing_cache_stats=stats,
-        routing_cache_entries=entries,
+        routing_cache_stats=cache.stats(),
+        routing_cache_entries=cache.export_entries(),
     )
 
 
@@ -417,17 +369,15 @@ def _lockstep_group_key(task: StrengthPointTask) -> tuple:
         config.include_small_matrices,
         config.layers,
         task.record_interval,
-        task.structured_lasso,
-        task.memoize_routing,
     )
 
 
 def _run_lockstep_strength_points(
-    engine: SweepEngine, tasks: List[StrengthPointTask]
+    tasks: List[StrengthPointTask],
 ) -> List[StrengthPointOutcome]:
     """Train λ points in lockstep per architecture group (serial leftovers warm-cached)."""
     outcomes: List[Optional[StrengthPointOutcome]] = [None] * len(tasks)
-    cache = RoutingAnalysisCache() if engine.memoize_routing else None
+    cache = RoutingAnalysisCache()
     groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
     for position, task in enumerate(tasks):
         groups.setdefault(_lockstep_group_key(task), []).append(position)
@@ -445,29 +395,25 @@ def _run_lockstep_strength_points(
                 networks, callbacks_per_point, point_setups=_setups
             )
 
-        before = cache.stats() if cache is not None else None
+        before = cache.stats()
         try:
             results = run_lockstep_deletion(
                 [task.network for task in group],
                 [task.config for task in group],
                 factory,
                 record_interval=group[0].record_interval,
-                structured_lasso=group[0].structured_lasso,
-                memoize_routing=group[0].memoize_routing,
-                routing_cache=cache if group[0].memoize_routing else None,
+                routing_cache=cache,
             )
         except LayerError as error:
             logger.info("lockstep group fell back to serial points: %s", error)
             serial_positions.extend(indices)
             continue
-        stats = None
-        if cache is not None and group[0].memoize_routing:
-            after = cache.stats()
-            stats = {
-                "hits": after["hits"] - before["hits"],
-                "misses": after["misses"] - before["misses"],
-                "size": after["size"],
-            }
+        after = cache.stats()
+        stats = {
+            "hits": after["hits"] - before["hits"],
+            "misses": after["misses"] - before["misses"],
+            "size": after["size"],
+        }
         for slot, (position, result) in enumerate(zip(indices, results)):
             task = tasks[position]
             outcomes[position] = StrengthPointOutcome(
@@ -476,16 +422,13 @@ def _run_lockstep_strength_points(
                 network=result.network,
                 wire_fractions=result.wire_fractions(),
                 routing_area_fractions=result.routing_area_fractions(),
-                accuracy=result.accuracy_after_finetune,
                 routing_cache_stats=stats if slot == 0 else None,
             )
 
     for position in sorted(serial_positions):
         task = tasks[position]
-        if cache is not None and task.memoize_routing:
-            task.routing_cache_entries = cache.export_entries()
+        task.routing_cache_entries = cache.export_entries()
         outcome = run_strength_point(task)
-        if cache is not None:
-            cache.merge_entries(outcome.routing_cache_entries)
+        cache.merge_entries(outcome.routing_cache_entries)
         outcomes[position] = outcome
     return outcomes

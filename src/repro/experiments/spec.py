@@ -19,10 +19,15 @@ Specs round-trip through plain dicts (:meth:`ExperimentSpec.to_dict` /
   artifact.
 * :func:`point_fingerprint` addresses one *sweep point result*.  It excludes
   every engine field that is guaranteed bit-identical across execution
-  policies (``workers``, ``mode``, ``batched_eval``, ``memoize_routing``,
-  ``start_method``) as well as spec fields irrelevant to the point's
-  training, so a point computed by a serial run can be resumed by a parallel
-  or lockstep run — and by a run with a different grid that shares the value.
+  policies (``workers``, ``mode``, ``start_method``, ``retry``) as well as
+  spec fields irrelevant to the point's training, so a point computed by a
+  serial run can be resumed by a parallel or lockstep run — and by a run with
+  a different grid that shares the value.
+* :data:`RETIRED_ENGINE_FIELDS` pins the four engine switches older releases
+  carried (``batched_eval``, ``memoize_routing``, ``structured_lasso``,
+  ``inline_training_eval``) at the only values the engine still runs.  They
+  are merged into every canonical engine payload, so artifacts, journals and
+  queued jobs written while the switches existed keep their addresses.
 * :func:`baseline_fingerprint` addresses the shared dense-baseline training,
   which depends only on the workload, scale and seed.
 """
@@ -32,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, ExperimentError
@@ -62,8 +68,22 @@ KIND_METHODS: Dict[str, Tuple[str, ...]] = {
     "headline": ("baseline",),
 }
 
+#: Engine switches that no longer exist, at the one value the engine runs:
+#: batched held-out evaluation, a memoized routing cache, the crossbar group
+#: Lasso, and no per-point inline evaluation.  Fingerprints hash them as if
+#: they were still fields, and :meth:`SweepEngine.from_dict` drops them from
+#: old payloads (any other value is a configuration error).
+RETIRED_ENGINE_FIELDS: Mapping[str, bool] = MappingProxyType(
+    {
+        "batched_eval": True,
+        "memoize_routing": True,
+        "structured_lasso": True,
+        "inline_training_eval": False,
+    }
+)
+
 #: Engine fields that can change a sweep point's *result* (everything else —
-#: workers, mode, batching, memoization — is guarded bit-identical).
+#: workers, mode, start method, retries — is guarded bit-identical).
 _ENGINE_RESULT_FIELDS = ("per_point_seed", "structured_lasso", "inline_training_eval")
 
 
@@ -259,15 +279,16 @@ class ExperimentSpec:
         is dropped unconditionally: retries, timeouts, and pool supervision
         are guaranteed bit-identical to a clean run (fresh task copy, same
         derived per-point seed), so how failures are handled must never
-        re-address what was computed.
+        re-address what was computed.  The :data:`RETIRED_ENGINE_FIELDS`
+        are merged back in at their pinned values, so every spec keeps the
+        address it had while those switches were engine fields.
         """
         payload = self.to_dict()
         payload.pop("name")
         if not payload["hardware"]:
             payload.pop("hardware")
-        payload["engine"] = {
-            key: value for key, value in payload["engine"].items() if key != "retry"
-        }
+        engine = {key: value for key, value in payload["engine"].items() if key != "retry"}
+        payload["engine"] = {**RETIRED_ENGINE_FIELDS, **engine}
         return payload
 
     def fingerprint(self) -> str:

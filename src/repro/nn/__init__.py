@@ -52,7 +52,6 @@ from repro.nn.regularization import (
     GroupLassoRegularizer,
     L2Regularizer,
     LockstepRegularizer,
-    PerPointRegularizers,
     Regularizer,
     WeightGroup,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "L2Regularizer",
     "GroupLassoRegularizer",
     "LockstepRegularizer",
-    "PerPointRegularizers",
     "WeightGroup",
     "architecture_signature",
     "batched_evaluate",

@@ -12,10 +12,10 @@ The convolution/pooling kernels are vectorized:
   :func:`numpy.lib.stride_tricks.sliding_window_view`; the only data movement
   is the single gather that lays the patch matrix out contiguously for the
   following matrix multiply.
-* :func:`col2im` scatters with one strided slice-add per kernel offset (each
-  statement is a full vectorized operation over ``N·C·out_h·out_w`` entries)
-  after prefetching the column gradient into a cache-friendly contiguous
-  layout, and uses a loop-free strided *assignment* when windows are disjoint
+* :func:`col2im` scatters with one strided slice-add per kernel offset into a
+  channels-last accumulator, a few images at a time so each block of the
+  column gradient stays cache-resident across the ``k²`` adds, and uses a
+  loop-free strided *assignment* when windows are disjoint
   (``stride >= kernel``).
 * :func:`pool_windows` exposes pooling receptive fields as a zero-copy
   strided view; the pooling layers themselves reduce over shifted zero-copy
@@ -112,6 +112,11 @@ def im2col(
     return cols, out_h, out_w
 
 
+#: Column-gradient bytes :func:`col2im` accumulates per image block; sized so
+#: a block stays resident in a 2 MiB per-core L2 cache across the ``k²`` adds.
+COL2IM_BLOCK_BYTES = 1 << 21
+
+
 def col2im(
     cols: np.ndarray,
     input_shape: Tuple[int, int, int, int],
@@ -126,7 +131,7 @@ def col2im(
     of :func:`im2col` with respect to its input.  When windows are disjoint
     (``stride >= kernel``) the scatter is a single loop-free strided
     assignment; otherwise one vectorized slice-add per kernel offset
-    accumulates the overlaps, reading from a contiguous prefetched layout.
+    accumulates the overlaps, a cache-sized block of images at a time.
     """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
@@ -137,27 +142,35 @@ def col2im(
         raise ShapeError(
             f"col2im expected cols of shape {(expected_rows, expected_cols)}, got {cols.shape}"
         )
-    x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     cols6 = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
     if stride >= kernel_h and stride >= kernel_w:
         # Disjoint windows: every padded pixel belongs to at most one window,
         # so the adjoint is a pure (vectorized) scatter with no accumulation.
+        x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
         target = sliding_windows(x_padded, kernel_h, kernel_w, stride, writeable=True)
         target[...] = cols6.transpose(0, 3, 1, 2, 4, 5)
-    else:
-        # Overlapping windows: accumulate one kernel offset at a time.  The
-        # contiguous prefetch makes the k² strided adds read sequential
-        # memory, which measures ~1.6x faster than accumulating straight from
-        # the transposed view.
-        cols6 = np.ascontiguousarray(cols6.transpose(0, 3, 4, 5, 1, 2))
+        if padding == 0:
+            return x_padded
+        return x_padded[:, :, padding:-padding, padding:-padding]
+    # Overlapping windows: accumulate one kernel offset at a time into an NHWC
+    # buffer, whose (out_w, C) block is contiguous and matches the column
+    # layout, so each add streams one long row per output line.  Images are
+    # taken a block at a time so the block's columns stay in cache across the
+    # k² adds.  Every pixel still sums its offsets in (i, j) order, one image
+    # at a time, so the result is bit-identical to the unblocked scatter.
+    x_padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    block = max(1, COL2IM_BLOCK_BYTES // (cols.itemsize * out_h * out_w * expected_cols))
+    for start in range(0, n, block):
+        source = cols6[start:start + block]
+        target = x_padded[start:start + block]
         for i in range(kernel_h):
             i_max = i + stride * out_h
             for j in range(kernel_w):
                 j_max = j + stride * out_w
-                x_padded[:, :, i:i_max:stride, j:j_max:stride] += cols6[:, :, i, j]
-    if padding == 0:
-        return x_padded
-    return x_padded[:, :, padding:-padding, padding:-padding]
+                target[:, i:i_max:stride, j:j_max:stride, :] += source[:, :, :, :, i, j]
+    if padding:
+        x_padded = x_padded[:, padding:-padding, padding:-padding, :]
+    return np.ascontiguousarray(x_padded.transpose(0, 3, 1, 2))
 
 
 #: Minimum input-channel count for the fused per-offset conv backward; below

@@ -57,6 +57,20 @@ class TestConvKernelParity:
             expected = ref.col2im_loop(grad_cols, shape, kernel, kernel, stride, padding)
             np.testing.assert_allclose(new, expected, atol=ATOL, rtol=0)
 
+    @pytest.mark.parametrize("block_images", [1, 2, 3])
+    def test_col2im_blocking_is_bit_identical(self, rng, monkeypatch, block_images):
+        """Splitting the batch into image blocks never changes a single bit."""
+        shape, kernel, stride, padding = (7, 3, 9, 8), 3, 1, 1
+        x = rng.standard_normal(shape)
+        cols, out_h, out_w = F.im2col(x, kernel, kernel, stride, padding)
+        grad_cols = rng.standard_normal(cols.shape)
+        expected = ref.col2im_loop(grad_cols, shape, kernel, kernel, stride, padding)
+        image_bytes = grad_cols.itemsize * out_h * out_w * cols.shape[1]
+        monkeypatch.setattr(F, "COL2IM_BLOCK_BYTES", block_images * image_bytes)
+        new = F.col2im(grad_cols, shape, kernel, kernel, stride, padding)
+        assert new.flags.c_contiguous
+        np.testing.assert_array_equal(new, expected)
+
     def test_rectangular_kernels(self, rng):
         x = rng.standard_normal((2, 3, 9, 11))
         for kh, kw in [(1, 3), (3, 1), (2, 4)]:

@@ -157,6 +157,26 @@ class TestArtifactLifecycle:
         assert resumed.computed_points == 0
         assert resumed.payload == first.payload
 
+    def test_artifact_with_retired_engine_fields_is_a_store_hit(self, store, monkeypatch):
+        """Artifacts whose spec still lists the retired engine switches resume."""
+        spec = sweep_spec(method="group_deletion", include_small_matrices=True, grid=(0.01, 0.08))
+        first = execute_spec(spec, store=store)
+        artifact = store.load(spec.fingerprint())
+        artifact["spec"]["engine"].update(
+            batched_eval=True,
+            memoize_routing=True,
+            structured_lasso=True,
+            inline_training_eval=False,
+        )
+        store.save(artifact)
+        assert ExperimentSpec.from_dict(artifact["spec"]) == spec
+        assert render_artifact(store.load(spec.fingerprint()))
+        _forbid_training(monkeypatch)
+        resumed = execute_spec(spec, store=store)
+        assert resumed.computed_points == 0
+        assert resumed.reused_points == 2
+        assert resumed.payload == first.payload
+
     def test_loaded_artifact_does_not_leak_the_checksum_field(self, store):
         spec = sweep_spec()
         execute_spec(spec, store=store)

@@ -1,8 +1,10 @@
 """Tests for the declarative experiment spec layer.
 
 Covers the ``ExperimentScale.with_overrides`` validation fix, spec
-validation, dict/JSON round-tripping, fingerprint stability (including
-across processes), point-fingerprint invariance to execution policy, and the
+validation, dict/JSON round-tripping, loading engine dicts that still carry
+the retired engine switches, fingerprint stability (including across
+processes and a pinned table of every registry preset's fingerprints),
+point-fingerprint invariance to execution policy, and the
 planner's expansion, and end-to-end execution: a prebuilt-baseline
 ``ExperimentContext`` reproduces a self-trained run, and the serial /
 parallel / lockstep engine policies stay bit-identical through
@@ -13,12 +15,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments import (
+    REGISTRY,
     TINY,
     ExperimentContext,
     ExperimentSpec,
@@ -31,6 +35,7 @@ from repro.experiments import (
     spec_for_workload,
     train_baseline,
 )
+from repro.experiments.spec import RETIRED_ENGINE_FIELDS
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -72,6 +77,47 @@ EXECUTION_CASES = [
         id="sweep-lambda",
     ),
 ]
+
+
+#: ``(spec, plan, baseline, point)`` fingerprints of every registry preset at
+#: every scale, where ``point`` is ``point_fingerprint(spec, 0, grid[0] or
+#: None)``.  Stored artifacts, journals and queued jobs are addressed by these
+#: values; a change here strands every existing store.
+GOLDEN_FINGERPRINTS = {
+    ("baseline", "tiny"): ("7cf482008bbbe5b3", "7cf482008bbbe5b3", "82094e141df03220", "9a2c1860ea78d9ff"),
+    ("baseline", "small"): ("4ea1a8cb271f77d2", "4ea1a8cb271f77d2", "521a70b3cc8ce297", "cd6959797fd7ae19"),
+    ("baseline", "paper"): ("51c1a57995cdc909", "51c1a57995cdc909", "a8ef187f1682444c", "60c9612d4515dfc4"),
+    ("table1", "tiny"): ("c65138634738540e", "c65138634738540e", "803231004d72f96b", "13759022e9476130"),
+    ("table1", "small"): ("67aad655590821d6", "67aad655590821d6", "c32d2915361f2481", "cab3643e765c2068"),
+    ("table1", "paper"): ("ed4cb6d92e3e5703", "ed4cb6d92e3e5703", "be65a1b0e08ca790", "c89381b98d914796"),
+    ("table3", "tiny"): ("bf5ea703d08d312b", "bf5ea703d08d312b", "803231004d72f96b", "35625e544d985778"),
+    ("table3", "small"): ("73bdf5f3c8db58b5", "73bdf5f3c8db58b5", "c32d2915361f2481", "10a69560ec39de13"),
+    ("table3", "paper"): ("5504a967ac463ca9", "5504a967ac463ca9", "be65a1b0e08ca790", "0c963c249de7d78f"),
+    ("figure3", "tiny"): ("0e9b0d2f3bf3cfa3", "0e9b0d2f3bf3cfa3", "803231004d72f96b", "6de499e0042051e4"),
+    ("figure3", "small"): ("3bf0cbf9e011c9ad", "3bf0cbf9e011c9ad", "c32d2915361f2481", "4c11904bde79bab0"),
+    ("figure3", "paper"): ("221d004b8c8af098", "221d004b8c8af098", "be65a1b0e08ca790", "62b1565942fd313c"),
+    ("figure5", "tiny"): ("30c60cfb3e7476cc", "30c60cfb3e7476cc", "803231004d72f96b", "88e2ccdf45c894e3"),
+    ("figure5", "small"): ("52f096fed76d3782", "52f096fed76d3782", "c32d2915361f2481", "ef4af2f34ab3aca8"),
+    ("figure5", "paper"): ("7c571eb6229c9b33", "7c571eb6229c9b33", "be65a1b0e08ca790", "f8ce494677d2c2af"),
+    ("figure6", "tiny"): ("3ede3adf4d2877c7", "3ede3adf4d2877c7", "803231004d72f96b", "bd3665b24f2fc90f"),
+    ("figure6", "small"): ("407cbb1c621f7791", "407cbb1c621f7791", "c32d2915361f2481", "d62b1906dfd4f200"),
+    ("figure6", "paper"): ("8af542f20e8ec611", "8af542f20e8ec611", "be65a1b0e08ca790", "5ec25bed034ebe67"),
+    ("figure7", "tiny"): ("769701313d1f54f0", "769701313d1f54f0", "61fad6af364803ae", "8646587e67f6b0a1"),
+    ("figure7", "small"): ("6726ad5f03c9f9e3", "6726ad5f03c9f9e3", "303505cf5810282a", "d77e1a5fd417e7f1"),
+    ("figure7", "paper"): ("ddf8018a175134a1", "ddf8018a175134a1", "c1abaab5be3c326e", "e6e5e93e5525af97"),
+    ("figure8", "tiny"): ("0c2fe9f6e46f1298", "0c2fe9f6e46f1298", "61fad6af364803ae", "aad4a8ad281bd12d"),
+    ("figure8", "small"): ("fb6f4f262c587177", "fb6f4f262c587177", "303505cf5810282a", "eb007cfe30df8af8"),
+    ("figure8", "paper"): ("900d7093d1c75a97", "900d7093d1c75a97", "c1abaab5be3c326e", "51e3f4cb1f1661b3"),
+    ("headline", "tiny"): ("970fc7cff689a658", "970fc7cff689a658", "82094e141df03220", "7bdda81c2b4535b7"),
+    ("headline", "small"): ("ccd41d90ddab34c0", "ccd41d90ddab34c0", "521a70b3cc8ce297", "7bdda81c2b4535b7"),
+    ("headline", "paper"): ("dd0edf29a28d3505", "dd0edf29a28d3505", "a8ef187f1682444c", "7bdda81c2b4535b7"),
+    ("figure_hw", "tiny"): ("75ca80a74193da2a", "75ca80a74193da2a", "803231004d72f96b", "b193424a5a11ade5"),
+    ("figure_hw", "small"): ("7be253a167013565", "7be253a167013565", "c32d2915361f2481", "3b34e3cd243e4e76"),
+    ("figure_hw", "paper"): ("f7f6794e0b9126fd", "f7f6794e0b9126fd", "be65a1b0e08ca790", "be87fca6c4062d59"),
+    ("figure_hw_baseline", "tiny"): ("07bef65ab2a063b1", "07bef65ab2a063b1", "803231004d72f96b", "882de1768d9a1073"),
+    ("figure_hw_baseline", "small"): ("979ebdd329ce0ab4", "979ebdd329ce0ab4", "c32d2915361f2481", "ab2c1d0c9cd2cd42"),
+    ("figure_hw_baseline", "paper"): ("4f7a858d30727de8", "4f7a858d30727de8", "be65a1b0e08ca790", "5b5447b79433dfb9"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +242,53 @@ class TestRoundTrip:
             SweepEngine.from_dict({"turbo": True})
 
 
+#: The four engine switches older releases serialized, at their only values.
+RETIRED_ENGINE_PAYLOAD = {
+    "batched_eval": True,
+    "memoize_routing": True,
+    "structured_lasso": True,
+    "inline_training_eval": False,
+}
+
+
+class TestRetiredEngineFields:
+    """Engine dicts written while the retired switches existed still load."""
+
+    def test_pin_matches_the_retired_defaults(self):
+        assert dict(RETIRED_ENGINE_FIELDS) == RETIRED_ENGINE_PAYLOAD
+
+    def test_engine_has_only_execution_policy_fields(self):
+        assert [f.name for f in dataclass_fields(SweepEngine)] == [
+            "workers", "per_point_seed", "start_method", "mode", "retry",
+        ]
+
+    def test_pinned_values_are_dropped(self):
+        engine = SweepEngine(workers=2, mode="lockstep")
+        old_payload = {**engine.as_dict(), **RETIRED_ENGINE_PAYLOAD}
+        assert SweepEngine.from_dict(old_payload) == engine
+
+    @pytest.mark.parametrize("field", sorted(RETIRED_ENGINE_PAYLOAD))
+    def test_other_values_raise_naming_the_field(self, field):
+        old_payload = {**RETIRED_ENGINE_PAYLOAD, field: not RETIRED_ENGINE_PAYLOAD[field]}
+        with pytest.raises(ConfigurationError, match=field):
+            SweepEngine.from_dict(old_payload)
+
+    def test_old_spec_payload_keeps_its_fingerprints(self):
+        """Queued jobs and CLI spec files hold ``ExperimentSpec.to_dict`` output."""
+        spec = REGISTRY.get("figure8", scale="small")
+        old_payload = spec.to_dict()
+        old_payload["engine"] = {**old_payload["engine"], **RETIRED_ENGINE_PAYLOAD}
+        loaded = ExperimentSpec.from_dict(old_payload)
+        assert loaded == spec
+        assert loaded.fingerprint() == "fb6f4f262c587177"
+        assert point_fingerprint(loaded, 0, loaded.grid[0]) == "eb007cfe30df8af8"
+
+    def test_retired_fields_are_not_settable(self):
+        spec = ExperimentSpec(kind="sweep", grid=(0.1,))
+        with pytest.raises(ExperimentError, match="structured_lasso"):
+            spec.with_updates(structured_lasso=True)
+
+
 class TestFingerprints:
     def test_name_is_excluded(self):
         spec = ExperimentSpec(kind="table1")
@@ -240,14 +333,9 @@ class TestFingerprints:
         assert child_point_fp == point_fingerprint(spec, 1, 0.05)
 
     def test_point_fingerprint_ignores_execution_policy(self):
-        """workers/mode/batching are bit-identical — points must be shareable."""
+        """workers/mode are bit-identical — points must be shareable."""
         base = ExperimentSpec(kind="sweep", method="group_deletion", grid=(0.01, 0.08))
-        for overrides in (
-            dict(workers=4),
-            dict(mode="lockstep"),
-            dict(batched_eval=False),
-            dict(memoize_routing=False),
-        ):
+        for overrides in (dict(workers=4), dict(mode="lockstep")):
             other = base.with_updates(**overrides)
             assert point_fingerprint(base, 0, 0.01) == point_fingerprint(other, 0, 0.01)
         # ...but result-affecting engine fields do participate.
@@ -302,6 +390,23 @@ class TestFingerprints:
         assert baseline_fingerprint(spec) != baseline_fingerprint(
             spec.with_updates(workload="lenet")
         )
+
+    @pytest.mark.parametrize(
+        "name, scale", sorted(GOLDEN_FINGERPRINTS), ids=lambda value: value
+    )
+    def test_preset_fingerprints_are_pinned(self, name, scale):
+        spec = REGISTRY.get(name, scale=scale)
+        value = spec.grid[0] if spec.grid else None
+        assert (
+            spec.fingerprint(),
+            build_plan(spec).fingerprint,
+            baseline_fingerprint(spec),
+            point_fingerprint(spec, 0, value),
+        ) == GOLDEN_FINGERPRINTS[(name, scale)]
+
+    def test_golden_table_covers_every_preset(self):
+        assert {name for name, _ in GOLDEN_FINGERPRINTS} == set(REGISTRY.names())
+        assert len(GOLDEN_FINGERPRINTS) == 3 * len(REGISTRY)
 
 
 class TestWorkloadAdapters:

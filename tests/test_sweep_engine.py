@@ -90,28 +90,6 @@ class TestSerialParallelParity:
         parallel = execute_spec(spec.with_updates(workers=2), context=context).result
         assert serial.points == parallel.points
 
-    def test_engine_matches_reference_semantics(self, trained_baseline):
-        """The optimized engine reports the same sweep as the reference path."""
-        workload, network, accuracy, setup = trained_baseline
-        context = ExperimentContext(workload, setup, network)
-        spec = spec_for_workload(
-            "sweep",
-            workload,
-            method="group_deletion",
-            grid=STRENGTHS,
-            include_small_matrices=True,
-        )
-        fast = execute_spec(spec, context=context).result
-        reference = execute_spec(
-            spec.with_updates(engine=SweepEngine.reference()), context=context
-        ).result
-        for a, b in zip(fast.points, reference.points):
-            assert a.strength == b.strength
-            # Training trajectories agree up to the penalty's floating-point
-            # summation order; wire counts are integers and must match.
-            assert a.wire_fractions == b.wire_fractions
-            assert a.accuracy == pytest.approx(b.accuracy, abs=0.05)
-
     def test_engine_validation(self):
         with pytest.raises(ConfigurationError):
             SweepEngine(workers=0)
@@ -366,11 +344,6 @@ class TestRoutingMemoization:
         assert stats["hits"] > stats["misses"]
         assert stats["hits"] > 0
 
-    def test_memoization_can_be_disabled(self, trained_baseline):
-        workload, network, accuracy, setup = trained_baseline
-        deleter = GroupConnectionDeleter(GroupDeletionConfig(), memoize_routing=False)
-        assert deleter.routing_cache is None
-
     def test_sweep_aggregates_cache_stats_and_wire_trace(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
         context = ExperimentContext(workload, setup, network)
@@ -383,10 +356,6 @@ class TestRoutingMemoization:
         )
         sweep = execute_spec(spec, context=context).result
         assert sweep.routing_cache_stats["hits"] > 0
-        reference = execute_spec(
-            spec.with_updates(engine=SweepEngine.reference()), context=context
-        ).result
-        assert reference.routing_cache_stats == {}
 
     def test_figure5_exposes_remaining_wire_trace(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
