@@ -25,6 +25,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # BLAS thread cap, so every CI invocation exercises the fan-out path.
 ENGINE_TESTS=(
   tests/test_kernel_parity.py
+  tests/test_functional.py
+  tests/test_layers_conv.py
+  tests/test_network_trainer.py
   tests/test_cache_release.py
   tests/test_dtype_policy.py
   tests/test_mapper_cache.py

@@ -38,8 +38,12 @@ step.  The stack compiles a stacked forward *and* backward program — im2col
 extracted once per mini-batch when the points share a data stream, one
 ``(K, out, in)`` batched matmul per weighted layer, parameter-free layers
 riding the ``(K·N, …)`` super-batch — whose per-point results are
-bit-identical to K independent ``forward``/``backward`` passes.  The
-:class:`~repro.nn.trainer.LockstepTrainer` drives the stack;
+bit-identical to K independent ``forward``/``backward`` passes.  Like the
+layers, the stack keeps its image activations and gradients channels-last in
+memory behind NCHW shapes (see :mod:`repro.nn.functional`): each stacked
+conv output is the NCHW view of its ``(K·N·out_h·out_w, out)`` matmul result,
+so the next im2col, pool or gradient reshape reads it without a transposing
+copy.  The :class:`~repro.nn.trainer.LockstepTrainer` drives the stack;
 :class:`~repro.nn.optim.lockstep.LockstepSGD` updates the slabs in place so
 the per-point views stay valid.
 """
@@ -888,8 +892,11 @@ class NetworkStack:
                 )
             else:
                 # The fused per-offset path multiplies each point's own weight
-                # slices; replicate it per point with identical operands.
-                grad_input = np.empty((k * n, c, h, w), dtype=grad_mat.dtype)
+                # slices; replicate it per point with identical operands, into
+                # the channels-last memory the kernel returns.
+                grad_input = F.image_buffer(
+                    (k * n, c, h, w), grad_mat.dtype, channels_last=True, alloc=np.empty
+                )
                 for slot in range(k):
                     grad_input[slot * n : (slot + 1) * n] = F.conv_backward_input(
                         back_mats[slot],

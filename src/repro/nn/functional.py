@@ -6,11 +6,27 @@ softmax, one-hot encoding, and padding helpers.  Layers keep the stateful
 bookkeeping (parameters, caches) and delegate the math to this module so the
 math can be tested in isolation.
 
+Memory layout
+-------------
+Every image batch is **shaped** NCHW, but its memory may be channels-last:
+a convolution's ``(N·out_h·out_w, C)`` matmul output is NHWC memory, and the
+layer returns it as an NCHW-shaped view (:func:`is_channels_last`).  Kernels
+follow the layout of their input rather than a setting: an image-shaped
+result is allocated in its input's memory order, so from the first
+convolution onward a network stays channels-last without a transposing copy
+per layer, while an NCHW-contiguous caller (a data loader batch, a
+benchmark) keeps NCHW memory.  Gradient kernels whose input is a patch
+matrix (:func:`col2im`, :func:`conv_backward_input`) always return
+channels-last memory: that is the order the matrix rows are in.  Only
+where values are stored changes; every add, max and matmul keeps its
+operands and order, so results are bit-identical across layouts.
+
 The convolution/pooling kernels are vectorized:
 
-* :func:`im2col` extracts receptive fields through a **zero-copy**
-  :func:`numpy.lib.stride_tricks.sliding_window_view`; the only data movement
-  is the single gather that lays the patch matrix out contiguously for the
+* :func:`im2col` finds receptive fields through a **zero-copy**
+  :func:`numpy.lib.stride_tricks.sliding_window_view` of one image's offset
+  table (in the input's memory order), and moves data once: a single
+  :func:`numpy.take` that lays the patch matrix out contiguously for the
   following matrix multiply.
 * :func:`col2im` scatters with one strided slice-add per kernel offset into a
   channels-last accumulator, a few images at a time so each block of the
@@ -27,6 +43,7 @@ The original offset-loop kernels are preserved in
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -47,32 +64,49 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def is_channels_last(x: np.ndarray) -> bool:
+    """Whether an NCHW-shaped batch is laid out channels-last (NHWC) in memory.
+
+    An array that is C-contiguous as well (``C == 1`` or ``H == W == 1``, where
+    both orders coincide) counts as NCHW, so such callers keep their layout.
+    """
+    return (
+        x.ndim == 4
+        and not x.flags.c_contiguous
+        and x.transpose(0, 2, 3, 1).flags.c_contiguous
+    )
+
+
+def image_buffer(
+    shape: Tuple[int, int, int, int], dtype, *, channels_last: bool, alloc=np.zeros
+) -> np.ndarray:
+    """A new NCHW-shaped batch from ``alloc``, NHWC in memory if asked."""
+    n, c, h, w = shape
+    if not channels_last:
+        return alloc(shape, dtype=dtype)
+    return alloc((n, h, w, c), dtype=dtype).transpose(0, 3, 1, 2)
+
+
 def pad_images(x: np.ndarray, padding: int, *, value: float = 0.0) -> np.ndarray:
     """Pad an NCHW batch symmetrically along the spatial axes with ``value``.
 
     Max pooling pads with ``-inf`` so padding can never win the max (and can
-    therefore never swallow gradient); everything else pads with zeros.
+    therefore never swallow gradient); everything else pads with zeros.  The
+    padded copy keeps ``x``'s memory layout (see :func:`is_channels_last`).
     """
     if padding == 0:
         return x
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        mode="constant",
-        constant_values=value,
+    n, c, h, w = x.shape
+    p = padding
+    padded = image_buffer(
+        (n, c, h + 2 * p, w + 2 * p), x.dtype, channels_last=is_channels_last(x), alloc=np.empty
     )
-
-
-def sliding_windows(
-    x_padded: np.ndarray, kernel_h: int, kernel_w: int, stride: int, *, writeable: bool = False
-) -> np.ndarray:
-    """Zero-copy ``(N, C, out_h, out_w, kh, kw)`` view of all receptive fields.
-
-    ``x_padded`` must already include any spatial padding.  No data is moved:
-    the result is a strided view whose last two axes walk the kernel extent.
-    """
-    view = sliding_window_view(x_padded, (kernel_h, kernel_w), axis=(2, 3), writeable=writeable)
-    return view[:, :, ::stride, ::stride]
+    padded[:, :, p:-p, p:-p] = x
+    padded[:, :, :p] = value
+    padded[:, :, -p:] = value
+    padded[:, :, p:-p, :p] = value
+    padded[:, :, p:-p, -p:] = value
+    return padded
 
 
 def im2col(
@@ -103,13 +137,39 @@ def im2col(
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
     x_padded = pad_images(x, padding)
-    windows = sliding_windows(x_padded, kernel_h, kernel_w, stride)
-    # The transpose + reshape is the single gather that materializes the
-    # patch matrix; everything before it is stride arithmetic.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        n * out_h * out_w, c * kernel_h * kernel_w
-    )
+    hp, wp = x_padded.shape[2:]
+    # Each image flattened in its memory order: a view unless ``x`` is
+    # neither NCHW- nor NHWC-contiguous.  The batch is gathered by a single
+    # ``take`` whose inner loop is a flat per-element copy, not the k-element
+    # runs a strided reshape of the window view would copy.
+    channels_last = is_channels_last(x_padded)
+    if channels_last:
+        images = x_padded.transpose(0, 2, 3, 1).reshape(n, hp * wp * c)
+    else:
+        images = x_padded.reshape(n, c * hp * wp)
+    index = _patch_index(hp, wp, c, kernel_h, kernel_w, stride, channels_last)
+    cols = np.take(images, index, axis=1).reshape(n * out_h * out_w, index.shape[1])
     return cols, out_h, out_w
+
+
+@lru_cache(maxsize=64)
+def _patch_index(
+    hp: int, wp: int, c: int, kernel_h: int, kernel_w: int, stride: int, channels_last: bool
+) -> np.ndarray:
+    """One padded image's patch-index table for :func:`im2col` (read-only).
+
+    Row ``(y, x)``, column ``(c, i, j)`` holds the flat offset, within one
+    image's memory, of the entry that patch-matrix cell reads.  Cached per
+    geometry, so a call pays only the batch gather.
+    """
+    if channels_last:
+        offsets = np.arange(hp * wp * c).reshape(hp, wp, c)
+    else:
+        offsets = np.arange(c * hp * wp).reshape(c, hp, wp).transpose(1, 2, 0)
+    windows = sliding_window_view(offsets, (kernel_h, kernel_w), axis=(0, 1))[::stride, ::stride]
+    index = windows.reshape(-1, c * kernel_h * kernel_w)
+    index.flags.writeable = False
+    return index
 
 
 #: Column-gradient bytes :func:`col2im` accumulates per image block; sized so
@@ -131,7 +191,8 @@ def col2im(
     of :func:`im2col` with respect to its input.  When windows are disjoint
     (``stride >= kernel``) the scatter is a single loop-free strided
     assignment; otherwise one vectorized slice-add per kernel offset
-    accumulates the overlaps, a cache-sized block of images at a time.
+    accumulates the overlaps, a cache-sized block of images at a time.  The
+    result is an NCHW-shaped view of channels-last memory.
     """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
@@ -143,22 +204,22 @@ def col2im(
             f"col2im expected cols of shape {(expected_rows, expected_cols)}, got {cols.shape}"
         )
     cols6 = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+    x_padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
     if stride >= kernel_h and stride >= kernel_w:
         # Disjoint windows: every padded pixel belongs to at most one window,
         # so the adjoint is a pure (vectorized) scatter with no accumulation.
-        x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-        target = sliding_windows(x_padded, kernel_h, kernel_w, stride, writeable=True)
-        target[...] = cols6.transpose(0, 3, 1, 2, 4, 5)
-        if padding == 0:
-            return x_padded
-        return x_padded[:, :, padding:-padding, padding:-padding]
-    # Overlapping windows: accumulate one kernel offset at a time into an NHWC
-    # buffer, whose (out_w, C) block is contiguous and matches the column
-    # layout, so each add streams one long row per output line.  Images are
-    # taken a block at a time so the block's columns stay in cache across the
-    # k² adds.  Every pixel still sums its offsets in (i, j) order, one image
-    # at a time, so the result is bit-identical to the unblocked scatter.
-    x_padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+        target = sliding_window_view(
+            x_padded, (kernel_h, kernel_w), axis=(1, 2), writeable=True
+        )
+        target[:, ::stride, ::stride] = cols6
+        return _crop_nhwc(x_padded, padding)
+    # Overlapping windows: accumulate one kernel offset at a time into the
+    # NHWC buffer, whose (out_w, C) block is contiguous and matches the
+    # column layout, so each add streams one long row per output line.
+    # Images are taken a block at a time so the block's columns stay in cache
+    # across the k² adds.  Every pixel still sums its offsets in (i, j) order,
+    # one image at a time, so the result is bit-identical to the unblocked
+    # scatter.
     block = max(1, COL2IM_BLOCK_BYTES // (cols.itemsize * out_h * out_w * expected_cols))
     for start in range(0, n, block):
         source = cols6[start:start + block]
@@ -168,9 +229,14 @@ def col2im(
             for j in range(kernel_w):
                 j_max = j + stride * out_w
                 target[:, i:i_max:stride, j:j_max:stride, :] += source[:, :, :, :, i, j]
+    return _crop_nhwc(x_padded, padding)
+
+
+def _crop_nhwc(x_padded: np.ndarray, padding: int) -> np.ndarray:
+    """Crop a padded NHWC buffer and view it NCHW-shaped (no copy)."""
     if padding:
         x_padded = x_padded[:, padding:-padding, padding:-padding, :]
-    return np.ascontiguousarray(x_padded.transpose(0, 3, 1, 2))
+    return x_padded.transpose(0, 3, 1, 2)
 
 
 #: Minimum input-channel count for the fused per-offset conv backward; below
@@ -233,18 +299,18 @@ def conv_backward_input(
             grad_mat @ weight_matrix, input_shape, kernel_h, kernel_w, stride, padding
         )
     weight4 = weight_matrix.reshape(grad_mat.shape[1], c, kernel_h, kernel_w)
-    x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=grad_mat.dtype)
+    # NHWC accumulator: each contribution's rows are (n, y, x) with C
+    # contiguous, so every add streams contiguous C-runs into place.
+    x_padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=grad_mat.dtype)
     for i in range(kernel_h):
         i_max = i + stride * out_h
         for j in range(kernel_w):
             j_max = j + stride * out_w
             contribution = grad_mat @ weight4[:, :, i, j]  # (N·out_h·out_w, C)
-            x_padded[:, :, i:i_max:stride, j:j_max:stride] += contribution.reshape(
+            x_padded[:, i:i_max:stride, j:j_max:stride, :] += contribution.reshape(
                 n, out_h, out_w, c
-            ).transpose(0, 3, 1, 2)
-    if padding == 0:
-        return x_padded
-    return x_padded[:, :, padding:-padding, padding:-padding]
+            )
+    return _crop_nhwc(x_padded, padding)
 
 
 def pool_windows(
@@ -262,7 +328,8 @@ def pool_windows(
     out_h = conv_output_size(h, pool_size, stride, padding)
     out_w = conv_output_size(w, pool_size, stride, padding)
     x_padded = pad_images(x, padding, value=pad_value)
-    return sliding_windows(x_padded, pool_size, pool_size, stride), out_h, out_w
+    windows = sliding_window_view(x_padded, (pool_size, pool_size), axis=(2, 3))
+    return windows[:, :, ::stride, ::stride], out_h, out_w
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -4,7 +4,10 @@ Every layer implements an explicit ``forward`` / ``backward`` pair instead of
 relying on an autograd engine.  ``forward`` caches whatever it needs for the
 backward pass on the instance; ``backward`` consumes the cache, accumulates
 parameter gradients into the layer's :class:`~repro.nn.parameter.Parameter`
-objects and returns the gradient with respect to the layer input.
+objects and returns the gradient with respect to the layer input.  Layers
+with parameters also take ``need_input=False``: they then accumulate their
+parameter gradients only and return ``None``, which is how a network skips
+the input gradient of its first weighted layer (nothing consumes it).
 
 Cache lifecycle
 ---------------
@@ -20,7 +23,7 @@ them generically (e.g. before serializing or deep-copying a network).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +47,12 @@ class Layer:
         """Compute the layer output for ``x`` and cache the backward context."""
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate ``grad_output`` and return the gradient w.r.t. the input."""
+    def backward(self, grad_output: np.ndarray, need_input: bool = True) -> Optional[np.ndarray]:
+        """Back-propagate ``grad_output`` and return the gradient w.r.t. the input.
+
+        ``need_input=False`` (honoured by layers with parameters) accumulates
+        the parameter gradients only and returns ``None``.
+        """
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

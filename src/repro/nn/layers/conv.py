@@ -108,7 +108,7 @@ class Conv2D(Layer):
         n = x.shape[0]
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, need_input: bool = True) -> Optional[np.ndarray]:
         if self._cols_cache is None or self._input_shape is None or self._out_hw is None:
             raise ShapeError(f"{self.name}: backward called before forward")
         n = self._input_shape[0]
@@ -124,6 +124,9 @@ class Conv2D(Layer):
         self.weight.accumulate_grad(grad_weight)
         if self.bias is not None:
             self.bias.accumulate_grad(grad_mat.sum(axis=0))
+        if not need_input:
+            self.release_caches()
+            return None
         grad_input = F.conv_backward_input(
             grad_mat,
             self.weight_matrix,

@@ -183,7 +183,7 @@ class LowRankConv2D(Layer):
         n = x.shape[0]
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, need_input: bool = True) -> Optional[np.ndarray]:
         if self._cols_cache is None or self._mid_cache is None:
             raise ShapeError(f"{self.name}: backward called before forward")
         n = self._input_shape[0]
@@ -200,6 +200,9 @@ class LowRankConv2D(Layer):
         self.v.accumulate_grad(self._cols_cache.T @ grad_mid)
         if self.bias is not None:
             self.bias.accumulate_grad(grad_mat.sum(axis=0))
+        if not need_input:
+            self.release_caches()
+            return None
         # The V factor transposed to (rank, fan_in) plays the weight-matrix
         # role of the fused input-gradient kernel: grad_cols = grad_mid · Vᵀ.
         grad_input = F.conv_backward_input(

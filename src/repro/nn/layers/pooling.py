@@ -8,6 +8,11 @@ formulation and allocates nothing beyond the output.  Max pooling pads with
 gradient would be silently cropped away); average pooling keeps zero padding
 (padded positions count toward the mean, matching the seed semantics).
 
+Outputs, arg-max maps and input gradients are allocated in the memory order
+of the forward input (see :func:`repro.nn.functional.is_channels_last`):
+channels-last activations stay channels-last, NCHW-contiguous ones stay
+NCHW, and every array keeps its NCHW shape either way.
+
 Backward context follows the cache lifecycle documented in
 :mod:`repro.nn.layers.base`: max pooling caches only the compact arg-max
 index map (``k²`` times smaller than the window tensor the seed
@@ -23,7 +28,7 @@ import numpy as np
 
 from repro.exceptions import ShapeError
 from repro.nn.dtype import as_float, default_dtype
-from repro.nn.functional import conv_output_size, pad_images
+from repro.nn.functional import conv_output_size, image_buffer, is_channels_last, pad_images
 from repro.nn.layers.base import Layer
 from repro.utils.validation import check_positive_int
 
@@ -31,7 +36,7 @@ from repro.utils.validation import check_positive_int
 class _Pool2D(Layer):
     """Shared geometry/bookkeeping for 2-D pooling layers."""
 
-    _cache_attrs = ("_input_shape", "_out_hw")
+    _cache_attrs = ("_input_shape", "_out_hw", "_channels_last")
 
     def __init__(
         self,
@@ -57,6 +62,7 @@ class _Pool2D(Layer):
         self.padding = int(padding)
         self._input_shape: Optional[Tuple[int, int, int, int]] = None
         self._out_hw: Optional[Tuple[int, int]] = None
+        self._channels_last: Optional[bool] = None
 
     # ------------------------------------------------------------- geometry
     def _check_input(self, x: np.ndarray) -> Tuple[int, int]:
@@ -72,6 +78,11 @@ class _Pool2D(Layer):
             row = slice(i, i + self.stride * out_h, self.stride)
             for j in range(self.pool_size):
                 yield row, slice(j, j + self.stride * out_w, self.stride)
+
+    def _cache_geometry(self, x: np.ndarray, out_h: int, out_w: int) -> None:
+        self._input_shape = x.shape
+        self._out_hw = (out_h, out_w)
+        self._channels_last = is_channels_last(x)
 
     def _check_grad(self, grad_output: np.ndarray) -> Tuple[int, int]:
         if self._input_shape is None or self._out_hw is None:
@@ -90,11 +101,14 @@ class _Pool2D(Layer):
 
         ``contributions`` maps each kernel offset's spatial slices to a
         ``(N, C, out_h, out_w)``-broadcastable gradient term; each add is one
-        vectorized strided operation.
+        vectorized strided operation.  The gradient is allocated in the
+        forward input's memory order.
         """
         n, c, h, w = self._input_shape
-        grad_padded = np.zeros(
-            (n, c, h + 2 * self.padding, w + 2 * self.padding), dtype=default_dtype()
+        grad_padded = image_buffer(
+            (n, c, h + 2 * self.padding, w + 2 * self.padding),
+            default_dtype(),
+            channels_last=self._channels_last,
         )
         for (rows, cols), term in contributions:
             grad_padded[:, :, rows, cols] += term
@@ -131,19 +145,24 @@ class MaxPool2D(_Pool2D):
         slabs = [x_padded[:, :, rows, cols] for rows, cols in self._offset_slices(out_h, out_w)]
         # Chained in-place maximum: same left-fold as ``np.maximum.reduce``
         # (max is exact, so bitwise identical) without materializing the
-        # (k², N, C, out_h, out_w) stack the reduce would build.
-        out = np.maximum(slabs[0], slabs[1]) if len(slabs) > 1 else slabs[0].copy()
-        for slab in slabs[2:]:
+        # (k², N, C, out_h, out_w) stack the reduce would build.  Copies and
+        # ufunc outputs keep the input's memory order (``order="K"``).
+        out = slabs[0].copy(order="K")
+        argmax = np.zeros_like(out, dtype=np.int16) if self.training else None
+        for t, slab in enumerate(slabs[1:], start=1):
+            if argmax is not None:
+                # Compact arg-max map built inside the fold: a strict ``>``
+                # against the running max keeps the first/lowest offset on
+                # ties, matching ``argmax`` over explicit windows.
+                np.copyto(argmax, np.int16(t), where=slab > out)
             np.maximum(out, slab, out=out)
-        if self.training:
-            # Compact arg-max map; descending order (down to and including
-            # offset 0) makes the first/lowest offset win ties, matching
-            # ``argmax`` over explicit windows.
-            argmax = np.zeros(out.shape, dtype=np.int16)
-            for t in range(len(slabs) - 1, -1, -1):
-                np.copyto(argmax, np.int16(t), where=(slabs[t] == out))
-            self._input_shape = x.shape
-            self._out_hw = (out_h, out_w)
+        if argmax is not None:
+            # A NaN maximum equals no entry; the explicit-window map points
+            # such windows at offset 0.
+            nan = np.isnan(out)
+            if nan.any():
+                argmax[nan] = 0
+            self._cache_geometry(x, out_h, out_w)
             self._argmax = argmax
         else:
             self.release_caches()
@@ -172,11 +191,10 @@ class AvgPool2D(_Pool2D):
         acc: Optional[np.ndarray] = None
         for rows, cols in self._offset_slices(out_h, out_w):
             slab = x_padded[:, :, rows, cols]
-            acc = slab.copy() if acc is None else np.add(acc, slab, out=acc)
+            acc = slab.copy(order="K") if acc is None else np.add(acc, slab, out=acc)
         out = acc / (self.pool_size * self.pool_size)
         if self.training:
-            self._input_shape = x.shape
-            self._out_hw = (out_h, out_w)
+            self._cache_geometry(x, out_h, out_w)
         else:
             self.release_caches()
         return out

@@ -88,12 +88,30 @@ class Sequential:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate through the stack, returning the input gradient."""
+    def backward(self, grad_output: np.ndarray, need_input: bool = True) -> Optional[np.ndarray]:
+        """Back-propagate through the stack, returning the input gradient.
+
+        With ``need_input=False`` the pass stops at the first layer with
+        parameters: it accumulates its parameter gradients but skips its
+        input gradient, the parameter-free layers before it only release
+        their caches, and ``None`` is returned.  Every parameter gradient is
+        bit-identical to the full pass.
+        """
         grad = grad_output
-        for layer in reversed(self._layers):
+        if need_input:
+            for layer in reversed(self._layers):
+                grad = layer.backward(grad)
+            return grad
+        first = next(
+            (i for i, layer in enumerate(self._layers) if layer.parameters()), len(self._layers)
+        )
+        for layer in reversed(self._layers[first + 1:]):
             grad = layer.backward(grad)
-        return grad
+        if first < len(self._layers):
+            self._layers[first].backward(grad, need_input=False)
+        for layer in self._layers[:first]:
+            layer.release_caches()
+        return None
 
     def predict(self, x: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
         """Inference-mode forward pass, optionally in mini-batches."""

@@ -139,7 +139,8 @@ class Trainer:
         logits = self.network.forward(inputs)
         data_loss = self.loss.forward(logits, targets)
         grad = self.loss.backward()
-        self.network.backward(grad)
+        # Nothing consumes the first weighted layer's input gradient.
+        self.network.backward(grad, need_input=False)
         penalty = 0.0
         for regularizer in self.regularizers:
             penalty += regularizer.penalty()
@@ -562,7 +563,7 @@ class LockstepTrainer:
             logits = point.network.forward(inputs)
             data_loss = point.loss.forward(logits, targets)
             grad = point.loss.backward()
-            point.network.backward(grad)
+            point.network.backward(grad, need_input=False)
             penalty = 0.0
             for _, regularizer in point.regularizers:
                 penalty += regularizer.penalty()

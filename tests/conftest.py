@@ -84,3 +84,20 @@ def numerical_gradient(func, array, epsilon: float = 1e-6) -> np.ndarray:
 def grad_checker():
     """Expose the numerical-gradient helper as a fixture."""
     return numerical_gradient
+
+
+def is_channels_last_memory(array: np.ndarray) -> bool:
+    """Whether an NCHW-shaped array is laid out NHWC in memory.
+
+    Judged by stride order rather than contiguity, so a cropped view of a
+    padded channels-last buffer (what ``col2im`` returns for ``padding > 0``)
+    counts.  Meant for arrays with ``C``, ``H`` and ``W`` all above 1.
+    """
+    strides = array.transpose(0, 2, 3, 1).strides
+    return strides[3] == array.itemsize and strides[0] > strides[1] > strides[2] > strides[3]
+
+
+@pytest.fixture
+def channels_last():
+    """Expose the channels-last layout predicate as a fixture."""
+    return is_channels_last_memory

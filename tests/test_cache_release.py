@@ -120,3 +120,61 @@ class TestLossCacheLifecycle:
             assert loss._diff is None
         with pytest.raises(ShapeError):
             sce.backward()
+
+
+def small_convnet(lowrank: bool):
+    from repro.core import convert_to_lowrank
+    from repro.models.convnet import ConvNetConfig, build_convnet
+
+    network = build_convnet(ConvNetConfig.small(), rng=0)
+    if lowrank:
+        network = convert_to_lowrank(
+            network, ranks={"conv1": 4, "conv2": 5, "conv3": 6}, layers=("conv1", "conv2", "conv3")
+        )
+    return network, np.random.default_rng(1).standard_normal((4, 3, 16, 16))
+
+
+def prefixed_mlp():
+    from repro.models import build_mlp
+
+    mlp = build_mlp(12, [8], 3, rng=0)
+    network = Sequential([Flatten(name="flatten"), ReLU(name="prefix_relu")] + mlp.layers)
+    return network, np.random.default_rng(1).standard_normal((5, 2, 3, 2))
+
+
+class TestParameterOnlyBackward:
+    """``Sequential.backward(need_input=False)`` stops at the first weighted layer."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: small_convnet(False), lambda: small_convnet(True), prefixed_mlp],
+        ids=["convnet", "lra-convnet", "flatten-relu-prefix"],
+    )
+    def test_parameter_gradients_bit_identical(self, make):
+        full, x = make()
+        partial, _ = make()
+        grads = {}
+        for network, need_input in ((full, True), (partial, False)):
+            network.train()
+            network.zero_grad()
+            out = network.forward(x)
+            grad_out = np.cos(np.arange(out.size, dtype=float)).reshape(out.shape)
+            result = network.backward(grad_out, need_input=need_input)
+            if need_input:
+                assert result.shape == x.shape
+            else:
+                assert result is None
+            grads[need_input] = {name: p.grad.copy() for name, p in network.named_parameters()}
+            for layer in network:
+                assert all(v is None for v in cached_values(layer)), layer
+        assert grads[True].keys() == grads[False].keys()
+        for name, grad in grads[True].items():
+            np.testing.assert_array_equal(grads[False][name], grad, err_msg=name)
+
+    def test_network_without_parameters_only_releases_caches(self):
+        network = Sequential([Flatten(), ReLU()])
+        network.train()
+        network.forward(np.ones((2, 2, 3)))
+        assert network.backward(np.ones((2, 6)), need_input=False) is None
+        for layer in network:
+            assert all(v is None for v in cached_values(layer)), layer

@@ -58,7 +58,9 @@ class TestConvKernelParity:
             np.testing.assert_allclose(new, expected, atol=ATOL, rtol=0)
 
     @pytest.mark.parametrize("block_images", [1, 2, 3])
-    def test_col2im_blocking_is_bit_identical(self, rng, monkeypatch, block_images):
+    def test_col2im_blocking_is_bit_identical(
+        self, rng, monkeypatch, channels_last, block_images
+    ):
         """Splitting the batch into image blocks never changes a single bit."""
         shape, kernel, stride, padding = (7, 3, 9, 8), 3, 1, 1
         x = rng.standard_normal(shape)
@@ -68,7 +70,8 @@ class TestConvKernelParity:
         image_bytes = grad_cols.itemsize * out_h * out_w * cols.shape[1]
         monkeypatch.setattr(F, "COL2IM_BLOCK_BYTES", block_images * image_bytes)
         new = F.col2im(grad_cols, shape, kernel, kernel, stride, padding)
-        assert new.flags.c_contiguous
+        # Layout contract: the NHWC accumulator comes back as an NCHW view.
+        assert channels_last(new)
         np.testing.assert_array_equal(new, expected)
 
     def test_rectangular_kernels(self, rng):
@@ -204,6 +207,127 @@ class TestPoolingLayerParity:
         out_ref, grad_ref = ref.maxpool_forward_backward_loop(x, 3, 2, 1, grad_out)
         np.testing.assert_allclose(out, out_ref, atol=ATOL, rtol=0)
         np.testing.assert_allclose(grad_in, grad_ref, atol=ATOL, rtol=0)
+
+
+def to_channels_last(x):
+    """The same values as ``x``, NCHW-shaped, NHWC in memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+class TestChannelsLastLayout:
+    """Kernels follow their input's memory order; values never change."""
+
+    def test_pad_images_follows_input_layout(self, rng, channels_last):
+        x = rng.standard_normal((2, 3, 5, 4))
+        for value in (0.0, -np.inf):
+            expected = np.pad(
+                x, ((0, 0), (0, 0), (2, 2), (2, 2)), constant_values=value
+            )
+            nchw = F.pad_images(x, 2, value=value)
+            nhwc = F.pad_images(to_channels_last(x), 2, value=value)
+            assert nchw.flags.c_contiguous
+            assert channels_last(nhwc) and F.is_channels_last(nhwc)
+            np.testing.assert_array_equal(nchw, expected)
+            np.testing.assert_array_equal(nhwc, expected)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (2, 2, 0), (3, 3, 1)])
+    def test_im2col_is_layout_independent(self, rng, kernel, stride, padding):
+        x = rng.standard_normal((2, 3, 7, 6))
+        strided = rng.standard_normal((2, 3, 14, 6))[:, :, ::2]  # neither layout
+        for variant in (to_channels_last(x), strided):
+            cols, _, _ = F.im2col(variant, kernel, kernel, stride, padding)
+            expected, _, _ = ref.im2col_loop(
+                np.ascontiguousarray(variant), kernel, kernel, stride, padding
+            )
+            assert cols.flags.c_contiguous
+            np.testing.assert_array_equal(cols, expected)
+        empty, _, _ = F.im2col(x[:0], kernel, kernel, stride, padding)
+        assert empty.shape == (0, 3 * kernel * kernel)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (2, 2, 0), (3, 3, 1)])
+    def test_col2im_returns_channels_last(self, rng, channels_last, kernel, stride, padding):
+        shape = (2, 3, 7, 6)
+        cols, _, _ = F.im2col(rng.standard_normal(shape), kernel, kernel, stride, padding)
+        grad_cols = rng.standard_normal(cols.shape)
+        new = F.col2im(grad_cols, shape, kernel, kernel, stride, padding)
+        assert channels_last(new)
+        np.testing.assert_array_equal(
+            new, ref.col2im_loop(grad_cols, shape, kernel, kernel, stride, padding)
+        )
+
+    @pytest.mark.parametrize(
+        "shape,kernel,stride,padding",
+        [((2, 16, 8, 8), 3, 1, 1), ((2, 3, 8, 8), 3, 1, 1), ((2, 16, 8, 8), 2, 2, 0)],
+        ids=["fused", "narrow", "disjoint"],
+    )
+    def test_conv_backward_input_returns_channels_last(
+        self, rng, channels_last, shape, kernel, stride, padding
+    ):
+        n, c, h, w = shape
+        rows = n * F.conv_output_size(h, kernel, stride, padding) * F.conv_output_size(
+            w, kernel, stride, padding
+        )
+        grad_mat = rng.standard_normal((rows, 5))
+        weight = rng.standard_normal((5, c * kernel * kernel))
+        grad_in = F.conv_backward_input(grad_mat, weight, shape, kernel, kernel, stride, padding)
+        assert channels_last(grad_in)
+
+    @pytest.mark.parametrize("layer_cls", [MaxPool2D, AvgPool2D])
+    @pytest.mark.parametrize("pool,stride,padding", [(2, 2, 0), (3, 2, 1)])
+    def test_pool_forward_backward_follow_input_layout(
+        self, rng, channels_last, layer_cls, pool, stride, padding
+    ):
+        x = rng.standard_normal((2, 3, 8, 8))
+        results = {}
+        for name, data in (("nchw", x), ("nhwc", to_channels_last(x))):
+            layer = layer_cls(pool, stride, padding=padding)
+            out = layer.forward(data)
+            grad_in = layer.backward(np.ones_like(out) + out)
+            results[name] = (out, grad_in)
+        for array in results["nchw"]:
+            # NCHW memory order (a padded gradient is a cropped view).
+            assert array.strides[3] == array.itemsize
+            assert list(array.strides) == sorted(array.strides, reverse=True)
+        for array in results["nhwc"]:
+            assert channels_last(array)
+        for a, b in zip(results["nchw"], results["nhwc"]):
+            np.testing.assert_array_equal(a, b)
+
+
+def argmax_map_by_equality(x, pool, stride, padding):
+    """The arg-max map built the pre-fold way: lowest offset equal to the max."""
+    x_padded = F.pad_images(x, padding, value=-np.inf)
+    out_h = F.conv_output_size(x.shape[2], pool, stride, padding)
+    out_w = F.conv_output_size(x.shape[3], pool, stride, padding)
+    slabs = [
+        x_padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+        for i in range(pool)
+        for j in range(pool)
+    ]
+    out = np.maximum.reduce(slabs)
+    argmax = np.zeros(out.shape, dtype=np.int16)
+    for t in range(len(slabs) - 1, -1, -1):
+        np.copyto(argmax, np.int16(t), where=(slabs[t] == out))
+    return out, argmax
+
+
+class TestMaxPoolArgmaxFold:
+    """The arg-max map built inside the max fold equals the equality-pass map."""
+
+    @pytest.mark.parametrize("pool,stride,padding", [(2, 2, 0), (3, 2, 1), (2, 1, 1)])
+    def test_ties_infinities_and_nans(self, rng, pool, stride, padding):
+        # Few distinct values force ties; -inf, +-0.0 and NaN cover the edges.
+        x = rng.integers(-2, 3, size=(3, 4, 7, 7)).astype(float)
+        x[0, 0, :3, :3] = -np.inf
+        x[0, 1, 1, 1] = np.nan
+        x[1, 2, :, :4] = -0.0
+        x[1, 2, :, 4:] = 0.0
+        layer = MaxPool2D(pool, stride, padding=padding)
+        out = layer.forward(x)
+        expected_out, expected_argmax = argmax_map_by_equality(x, pool, stride, padding)
+        np.testing.assert_array_equal(out, expected_out)
+        assert np.signbit(out).tolist() == np.signbit(expected_out).tolist()
+        np.testing.assert_array_equal(layer._argmax, expected_argmax)
 
 
 class TestMaxPoolPaddingFix:

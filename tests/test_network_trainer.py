@@ -5,10 +5,16 @@ import pytest
 
 from repro.data import ArrayDataset, DataLoader
 from repro.exceptions import LayerError, TrainingError
+from repro.core import convert_to_lowrank
 from repro.models import build_mlp
+from repro.models.convnet import ConvNetConfig, build_convnet
+from repro.nn import functional as F
 from repro.nn import (
     SGD,
     Callback,
+    LockstepSGD,
+    LockstepTrainer,
+    NetworkStack,
     GroupLassoRegularizer,
     L2Regularizer,
     Linear,
@@ -267,3 +273,105 @@ class TestTrainer:
         # More iterations than batches per epoch forces the loader to restart.
         trainer.run(len(loader) * 3 + 1)
         assert trainer.iteration == len(loader) * 3 + 1
+
+
+SMALL_CONVNET = ConvNetConfig.small()
+
+
+def small_lra_convnet(seed):
+    return convert_to_lowrank(
+        build_convnet(SMALL_CONVNET, rng=seed),
+        ranks={"conv1": 4, "conv2": 5, "conv3": 6},
+        layers=("conv1", "conv2", "conv3"),
+    )
+
+
+def image_loader():
+    rng = np.random.default_rng(5)
+    size = SMALL_CONVNET.image_size
+    inputs = rng.standard_normal((16, SMALL_CONVNET.input_channels, size, size))
+    return DataLoader(ArrayDataset(inputs, rng.integers(0, 10, 16)), batch_size=8, rng=0)
+
+
+class LayoutProbe:
+    """Records image-shaped activations/gradients and input-gradient kernel calls."""
+
+    def __init__(self, monkeypatch):
+        self.arrays = []  # (label, array) for every NCHW-shaped output / input grad
+        self.kernel_channels = []  # input channels of each col2im / conv_backward_input
+        self._monkeypatch = monkeypatch
+        for kernel, shape_arg in (("col2im", 1), ("conv_backward_input", 2)):
+            original = getattr(F, kernel)
+
+            def counted(*args, _original=original, _i=shape_arg, **kwargs):
+                self.kernel_channels.append(args[_i][1])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(F, kernel, counted)
+
+    def _record(self, label, array):
+        if array is not None and array.ndim == 4:
+            self.arrays.append((label, array))
+
+    def wrap(self, owner, attr, label, *, pair=None):
+        """Record ``owner.attr``'s image-shaped result (first item of a tuple)."""
+        original = getattr(owner, attr)
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            self._record(label, result[0] if isinstance(result, tuple) else result)
+            return result
+
+        self._monkeypatch.setattr(owner, attr, wrapped)
+
+    def wrap_layer(self, layer):
+        self.wrap(layer, "forward", f"{layer.name}.forward")
+        self.wrap(layer, "backward", f"{layer.name}.backward")
+
+
+class TestChannelsLastTraining:
+    """One training step keeps every image activation and gradient NHWC in memory.
+
+    The batch enters conv1 NCHW-contiguous; from conv1's output onward each
+    spatial layer's output and input gradient is channels-last, and nothing
+    computes conv1's input gradient.  (Flatten's input gradient un-flattens an
+    NCHW-ordered matrix and is the one NCHW array; it is not recorded here.)
+    """
+
+    def check(self, probe, channels_last, expected_spatial):
+        labels = [label for label, _ in probe.arrays]
+        assert len(labels) == expected_spatial, labels
+        for label, array in probe.arrays:
+            assert channels_last(array), label
+        assert probe.kernel_channels, "input-gradient kernels never ran"
+        assert SMALL_CONVNET.input_channels not in probe.kernel_channels
+
+    def test_trainer_step(self, monkeypatch, channels_last):
+        network = small_lra_convnet(0)
+        probe = LayoutProbe(monkeypatch)
+        for layer in network:
+            if layer.name != "flatten":
+                probe.wrap_layer(layer)
+        trainer = Trainer(
+            network, SoftmaxCrossEntropy(), SGD(network.parameters(), lr=0.01), image_loader()
+        )
+        trainer.train_step()
+        # conv1..relu3/pool3: 9 spatial outputs; 8 input gradients (conv1 has none).
+        self.check(probe, channels_last, expected_spatial=17)
+
+    def test_network_stack_step(self, monkeypatch, channels_last):
+        stack = NetworkStack([small_lra_convnet(seed) for seed in (0, 1)])
+        probe = LayoutProbe(monkeypatch)
+        probe.wrap(stack, "_forward_conv", "conv.forward")
+        probe.wrap(stack, "_backward_conv", "conv.backward")
+        for step in stack._steps:
+            if step.kind == "layer" and step.layer.name != "flatten":
+                probe.wrap_layer(step.layer)
+        trainer = LockstepTrainer(
+            stack,
+            SoftmaxCrossEntropy(),
+            LockstepSGD(stack.parameters, lr=0.01),
+            image_loader(),
+        )
+        trainer.train_step()
+        self.check(probe, channels_last, expected_spatial=17)
